@@ -1,5 +1,7 @@
 """Shared test fixtures and factories."""
 
+import sqlite3
+
 from repro.deploy.state import (
     AppServer,
     DatabaseBackend,
@@ -96,3 +98,22 @@ def make_system(webs=1, apps=1, dbs=1, driver=None, app_server="jonas",
         db_backends=db_backends,
         monitors=monitors,
     )
+
+
+def trials_schema(path):
+    """``(PRAGMA table_info(trials) rows, UNIQUE-key columns)`` of the
+    database file at *path* — the shape a migrated older database must
+    share with a freshly created one."""
+    connection = sqlite3.connect(path)
+    try:
+        columns = connection.execute(
+            "PRAGMA table_info(trials)").fetchall()
+        unique = [name for _seq, name, _unique, origin, _partial
+                  in connection.execute("PRAGMA index_list(trials)")
+                  if origin == "u"]
+        keys = [tuple(column for _seqno, _cid, column in
+                      connection.execute(f"PRAGMA index_info('{name}')"))
+                for name in unique]
+    finally:
+        connection.close()
+    return columns, keys
