@@ -49,6 +49,7 @@ from repro.experiments.scheduler import (
     calc_parallel_jobs,
     enumerate_tasks,
 )
+from repro.experiments.trial import trial_key
 from repro.results.database import ResultsDatabase
 from repro.sim import ANALYTIC, AUTO, DES, check_fidelity
 from repro.sim.analytic import require_analytic_support
@@ -239,7 +240,7 @@ class CampaignState:
         """``(remaining, skipped)`` after resume-filtering *tasks*
         against what *database* already stores."""
         done = set(database.trial_keys())
-        remaining = [t for t in tasks if t.key() not in done]
+        remaining = [t for t in tasks if trial_key(t) not in done]
         return remaining, len(tasks) - len(remaining)
 
     def record_meta(self, database):
@@ -629,11 +630,8 @@ class ObservationCampaign:
         db.clear_planner_decisions()
         done = {}
         if resume:
-            for result in db.query(experiment_name=experiment.name):
-                done[(experiment.name, result.topology_label,
-                      result.workload, result.write_ratio,
-                      result.seed, result.fidelity,
-                      result.scenario)] = result
+            done = {trial_key(result): result for result in
+                    db.query(experiment_name=experiment.name)}
         store, flush_tail = self._ingest(report, replace=replace,
                                          on_result=on_result,
                                          on_progress=on_progress,
@@ -646,7 +644,9 @@ class ObservationCampaign:
             session = scheduler.session()
 
         def execute(tasks):
-            missing = [task for task in tasks if task.key() not in done]
+            keys = [trial_key(task) for task in tasks]
+            missing = [task for task, key in zip(tasks, keys)
+                       if key not in done]
             skipped = len(tasks) - len(missing)
             if skipped:
                 report.skipped += skipped
@@ -654,22 +654,17 @@ class ObservationCampaign:
             delivered = {}
             if missing:
                 if executor is not None:
-                    for task, result in zip(
-                            missing,
-                            executor.run_tasks(missing, store)):
-                        delivered[task.key()] = result
+                    results = executor.run_tasks(missing, store)
                 elif session is None:
+                    results = []
                     for task in missing:
-                        result = self.runner.run_task(task)
-                        delivered[task.key()] = result
-                        store(result)
+                        results.append(self.runner.run_task(task))
+                        store(results[-1])
                 else:
-                    for task, result in zip(
-                            missing,
-                            session.run_batch(missing, on_result=store)):
-                        delivered[task.key()] = result
-            return [done[task.key()] if task.key() in done
-                    else delivered[task.key()] for task in tasks]
+                    results = session.run_batch(missing, on_result=store)
+                delivered = dict(zip(map(trial_key, missing), results))
+            return [done[key] if key in done else delivered[key]
+                    for key in keys]
 
         def record_round(round_no, decisions):
             db.insert_decisions(

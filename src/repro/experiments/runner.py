@@ -213,6 +213,8 @@ class ExperimentRunner:
                 f"not {fidelity!r} (resolve 'auto' upstream)"
             )
         policy = self.retry_policy
+        # The seed-era 5-tuple, not trial_key(): it is hashed into
+        # every fault draw, so widening it would re-draw every fault.
         trial_key = (experiment.name, topology.label(), workload,
                      write_ratio, experiment.seed)
         failures = []
@@ -429,7 +431,7 @@ class ExperimentRunner:
         return self.run_point(task.experiment, task.topology,
                               task.workload, task.write_ratio,
                               seed=task.seed,
-                              fidelity=getattr(task, "fidelity", DES))
+                              fidelity=task.fidelity)
 
     # -- the analytic fast path --------------------------------------------
 
@@ -533,7 +535,7 @@ class ExperimentRunner:
             tier_of_host=tier_of_host,
             machine_count=topology.machine_count(),
             fidelity=ANALYTIC,
-            scenario=getattr(experiment, "scenario", ""),
+            scenario=experiment.scenario,
         )
         result.spans = merge_span_exports(exports)
         return result
@@ -686,7 +688,7 @@ class ExperimentRunner:
             config_lines=bundle.config_line_total(),
             generated_files=bundle.file_count(),
             machine_count=allocation.machine_count(),
-            scenario=getattr(experiment, "scenario", ""),
+            scenario=experiment.scenario,
         )
 
     @staticmethod

@@ -52,16 +52,25 @@ class TrialTask:
     repetition: int = 0
     fidelity: str = "des"      # solver tier this trial runs under
 
+    # The identity attributes a TrialResult carries, so
+    # ``trial_key(task)`` equals the key of the result it produces.
+
+    @property
+    def experiment_name(self):
+        return self.experiment.name
+
+    @property
+    def topology_label(self):
+        return self.topology.label()
+
     @property
     def seed(self):
         """The seed this repetition replays under (seed, seed+1, ...)."""
         return self.experiment.seed + self.repetition
 
-    def key(self):
-        """The trial's identity — the results database's UNIQUE key."""
-        return (self.experiment.name, self.topology.label(), self.workload,
-                self.write_ratio, self.seed, self.fidelity,
-                getattr(self.experiment, "scenario", ""))
+    @property
+    def scenario(self):
+        return self.experiment.scenario
 
 
 def enumerate_tasks(experiment, start_index=0, fidelity="des"):

@@ -13,7 +13,9 @@ experiments that "could not complete" as observations, not noise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 COMPLETED = "completed"
 DNF = "dnf"          # did not finish: exceeded the error budget (Table 7)
@@ -120,7 +122,8 @@ class TrialResult:
         return max(tiers, key=self.tier_cpu)
 
     def key(self):
-        """(topology, workload, write_ratio) — a sweep point's identity."""
+        """(topology, workload, write_ratio) — a sweep point's identity
+        within one experiment; :func:`trial_key` is the full trial's."""
         return (self.topology_label, self.workload,
                 round(self.write_ratio, 6))
 
@@ -132,6 +135,44 @@ class TrialResult:
             key=lambda item: item[1]["mean_response_s"], reverse=True,
         )
         return ranked[:limit]
+
+
+class TrialColumn(NamedTuple):
+    """One column of the results database's ``trials`` table.
+
+    *attribute* is the :class:`TrialResult` attribute the column stores
+    (dotted for a measurement, ``metrics.<name>``); *migrated* is the
+    value a row written before the column existed takes when its
+    database is migrated, ``None`` for the seed-era columns.
+    """
+
+    column: str
+    attribute: str
+    sql_type: str
+    migrated: object = None
+
+
+#: A trial's identity — the one place it is declared.  The ``trials``
+#: table's UNIQUE key, the replace-by-key lookup, resume's checkpoint
+#: keys, every done-dict and the export columns derive from this tuple,
+#: so a new identity axis is one entry here plus the attribute it names
+#: on :class:`TrialResult` and the scheduler's ``TrialTask``.  (The
+#: fault plane's draw key is deliberately the seed-era five fields; see
+#: :meth:`ExperimentRunner.run_point`.)
+TRIAL_IDENTITY = (
+    TrialColumn("experiment_name", "experiment_name", "TEXT"),
+    TrialColumn("topology", "topology_label", "TEXT"),
+    TrialColumn("workload", "workload", "INTEGER"),
+    TrialColumn("write_ratio", "write_ratio", "REAL"),
+    TrialColumn("seed", "seed", "INTEGER"),
+    TrialColumn("fidelity", "fidelity", "TEXT", "des"),
+    TrialColumn("scenario", "scenario", "TEXT", ""),
+)
+
+#: The identity key of a :class:`TrialResult` or a scheduler
+#: ``TrialTask``, as a tuple in :data:`TRIAL_IDENTITY` order.
+trial_key = operator.attrgetter(
+    *(column.attribute for column in TRIAL_IDENTITY))
 
 
 def measurement_window(trial_phases):
@@ -172,5 +213,5 @@ def failed_result(experiment, topology, workload, write_ratio, seed,
         machine_count=machine_count,
         attempts=attempts,
         failures=list(failures),
-        scenario=getattr(experiment, "scenario", ""),
+        scenario=experiment.scenario,
     )

@@ -222,14 +222,8 @@ def render_scenarios(database, limit=20):
     table, with open-loop backlog and DNF counts.
 
     Returns ``None`` when every trial is a plain sweep point (the
-    section only appears for scenario runs).  A trials table written by
-    a pre-scenario tool carries no ``scenario`` column at all; like the
-    planner-decision guard, that renders as an explicit note rather
-    than an error, so ``repro trace`` keeps working on old files.
+    section only appears for scenario runs).
     """
-    if not database.has_column("trials", "scenario"):
-        return ("no scenario identity recorded (database predates the "
-                "scenario plane)")
     by_scenario = {}
     for result in database.query():
         if not result.scenario:
@@ -239,8 +233,7 @@ def render_scenarios(database, limit=20):
         stats["trials"] += 1
         if not result.completed:
             stats["dnf"] += 1
-        stats["backlog"] = max(stats["backlog"],
-                               getattr(result.metrics, "backlog", 0))
+        stats["backlog"] = max(stats["backlog"], result.metrics.backlog)
     if not by_scenario:
         return None
     name_width = max([len(name) for name in by_scenario]

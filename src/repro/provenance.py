@@ -97,7 +97,7 @@ def build_run_card(*, report, state, engine, jobs, fidelity,
             "scenarios": sorted({
                 experiment.scenario
                 for experiment in state.spec.experiments
-                if getattr(experiment, "scenario", "")}),
+                if experiment.scenario}),
             "fault_plan": state.fault_plan is not None,
             "retry_policy": state.retry_policy is not None,
         },

@@ -39,6 +39,7 @@ from repro.core.characterization import PerformanceMap
 from repro.errors import AllocationError, RemedyError, ResultsError
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scheduler import THREAD, TrialScheduler, TrialTask
+from repro.experiments.trial import trial_key
 from repro.obs.tracer import as_tracer
 from repro.remedy.diagnosis import Detector
 from repro.remedy.propose import PROMOTE_TIER, Proposer, apply_patch
@@ -206,17 +207,13 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
             on_progress(text)
         tracer.count("remedy.progress_lines", 1)
 
-    done = {}
-    for stored in database.query():
-        done[(stored.experiment_name, stored.topology_label,
-              stored.workload, stored.write_ratio, stored.seed,
-              stored.fidelity, stored.scenario)] = stored
+    done = {trial_key(stored): stored for stored in database.query()}
 
     def execute(tasks, plan, retry):
         """Run *tasks* under a candidate configuration, reusing stored
         trials; results return in task order, new ones stored as they
         arrive (the kill-anywhere checkpoint)."""
-        missing = [t for t in tasks if t.key() not in done]
+        missing = [t for t in tasks if trial_key(t) not in done]
         report.reused += len(tasks) - len(missing)
         if retry is not None:
             retry = dataclasses.replace(retry,
@@ -232,9 +229,7 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
 
         def store(result):
             database.insert(result, replace=True)
-            done[(result.experiment_name, result.topology_label,
-                  result.workload, result.write_ratio, result.seed,
-                  result.fidelity, result.scenario)] = result
+            done[trial_key(result)] = result
             report.trials += 1
             if on_trial is not None:
                 on_trial(result)
@@ -250,7 +245,7 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
                 scheduler = TrialScheduler(runner_factory, jobs=jobs,
                                            backend=THREAD, tracer=tracer)
                 scheduler.run(missing, on_result=store)
-        return [done[task.key()] for task in tasks]
+        return [done[trial_key(task)] for task in tasks]
 
     def shadow_tasks(name, topology, points, fidelity):
         shadow = dataclasses.replace(exp, name=name)

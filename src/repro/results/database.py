@@ -10,62 +10,144 @@ holding results in ad-hoc lists.
 from __future__ import annotations
 
 import json
+import operator
 import sqlite3
 import threading
 
 from repro.errors import ResultsError
-from repro.experiments.trial import AttemptFailure, TrialResult
+from repro.experiments.trial import (
+    TRIAL_IDENTITY,
+    AttemptFailure,
+    TrialColumn,
+    TrialResult,
+    trial_key,
+)
 from repro.faults.retry import GAVE_UP, QUARANTINED
 from repro.monitoring.metrics import TrialMetrics
 from repro.obs.tracer import SpanRecord
 
-# The trials table's own DDL is split out because schema migrations
-# must recreate it verbatim (SQLite cannot ALTER a UNIQUE constraint in
-# place).  Columns added after the seed schema (``fidelity``, then the
-# scenario plane's ``backlog``/``scenario``) are deliberately the LAST
-# columns, in the order their planes landed, so a migrated older
-# database and a freshly created one share the same column order —
-# dump_rows comparisons stay meaningful across both.
-_TRIALS_TABLE = """
-CREATE TABLE IF NOT EXISTS trials (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    experiment_name TEXT NOT NULL,
-    benchmark TEXT NOT NULL,
-    platform TEXT NOT NULL,
-    topology TEXT NOT NULL,
-    workload INTEGER NOT NULL,
-    write_ratio REAL NOT NULL,
-    seed INTEGER NOT NULL,
-    status TEXT NOT NULL,
-    completed_requests INTEGER NOT NULL,
-    errors INTEGER NOT NULL,
-    timeouts INTEGER NOT NULL,
-    rejections INTEGER NOT NULL,
-    duration_s REAL NOT NULL,
-    throughput REAL NOT NULL,
-    mean_response_s REAL NOT NULL,
-    p50_response_s REAL NOT NULL,
-    p90_response_s REAL NOT NULL,
-    p99_response_s REAL NOT NULL,
-    collected_bytes INTEGER NOT NULL,
-    script_lines INTEGER NOT NULL,
-    config_lines INTEGER NOT NULL,
-    generated_files INTEGER NOT NULL,
-    machine_count INTEGER NOT NULL,
-    fidelity TEXT NOT NULL DEFAULT 'des',
-    backlog INTEGER NOT NULL DEFAULT 0,
-    scenario TEXT NOT NULL DEFAULT '',
-    UNIQUE (experiment_name, topology, workload, write_ratio, seed,
-            fidelity, scenario)
+_IDENTITY = {column.column: column for column in TRIAL_IDENTITY}
+
+#: The seed schema's ``trials`` columns (after ``id``), in table order.
+_SEED_COLUMNS = (
+    _IDENTITY["experiment_name"],
+    TrialColumn("benchmark", "benchmark", "TEXT"),
+    TrialColumn("platform", "platform", "TEXT"),
+    _IDENTITY["topology"],
+    _IDENTITY["workload"],
+    _IDENTITY["write_ratio"],
+    _IDENTITY["seed"],
+    TrialColumn("status", "status", "TEXT"),
+    TrialColumn("completed_requests", "metrics.completed", "INTEGER"),
+    TrialColumn("errors", "metrics.errors", "INTEGER"),
+    TrialColumn("timeouts", "metrics.timeouts", "INTEGER"),
+    TrialColumn("rejections", "metrics.rejections", "INTEGER"),
+    TrialColumn("duration_s", "metrics.duration_s", "REAL"),
+    TrialColumn("throughput", "metrics.throughput", "REAL"),
+    TrialColumn("mean_response_s", "metrics.mean_response_s", "REAL"),
+    TrialColumn("p50_response_s", "metrics.p50_response_s", "REAL"),
+    TrialColumn("p90_response_s", "metrics.p90_response_s", "REAL"),
+    TrialColumn("p99_response_s", "metrics.p99_response_s", "REAL"),
+    TrialColumn("collected_bytes", "collected_bytes", "INTEGER"),
+    TrialColumn("script_lines", "script_lines", "INTEGER"),
+    TrialColumn("config_lines", "config_lines", "INTEGER"),
+    TrialColumn("generated_files", "generated_files", "INTEGER"),
+    TrialColumn("machine_count", "machine_count", "INTEGER"),
 )
-"""
 
 #: Columns appended to ``trials`` after the seed schema, in landing
-#: order, with the SQL literal a migrated row takes.  A database from
-#: any earlier era is missing a *suffix* of this list — the migration
-#: appends exactly the missing defaults.
-_TRIAL_SUFFIX = (("fidelity", "'des'"), ("backlog", "0"),
-                 ("scenario", "''"))
+#: order.  They are deliberately the LAST columns, so a migrated older
+#: database and a freshly created one share one column order —
+#: dump_rows comparisons stay meaningful across both — and a database
+#: from any earlier era is missing a *suffix* of this list.  Identity
+#: entries neither tuple places are appended last, in declaration
+#: order, so a new identity axis needs no edit here.
+_TRIAL_SUFFIX = (
+    _IDENTITY["fidelity"],
+    TrialColumn("backlog", "metrics.backlog", "INTEGER", 0),
+    _IDENTITY["scenario"],
+)
+_TRIAL_SUFFIX += tuple(column for column in TRIAL_IDENTITY
+                       if column not in _SEED_COLUMNS + _TRIAL_SUFFIX)
+
+_TRIAL_SCHEMA = _SEED_COLUMNS + _TRIAL_SUFFIX
+_TRIAL_COLUMNS = tuple(column.column for column in _TRIAL_SCHEMA)
+_IDENTITY_COLUMNS = ", ".join(column.column for column in TRIAL_IDENTITY)
+
+
+def _sql_literal(value):
+    return f"'{value}'" if isinstance(value, str) else str(value)
+
+
+def _column_ddl(column):
+    default = "" if column.migrated is None \
+        else f" DEFAULT {_sql_literal(column.migrated)}"
+    return f"{column.column} {column.sql_type} NOT NULL{default}"
+
+
+# The trials table's own DDL is split out because schema migrations
+# must recreate it verbatim (SQLite cannot ALTER a UNIQUE constraint in
+# place).
+_TRIALS_TABLE = (
+    "CREATE TABLE IF NOT EXISTS trials (\n"
+    "    id INTEGER PRIMARY KEY AUTOINCREMENT,\n"
+    + "".join(f"    {_column_ddl(column)},\n" for column in _TRIAL_SCHEMA)
+    + f"    UNIQUE ({_IDENTITY_COLUMNS})\n)\n")
+
+#: Child tables hanging off ``trials.id``, with their columns after
+#: ``trial_id``.
+_CHILD_COLUMNS = {
+    "host_cpu": ("host", "tier", "cpu_percent"),
+    "state_metrics": ("state", "count", "errors", "mean_response_s"),
+    "spans": ("span_id", "parent_id", "name", "start_s", "duration_s",
+              "status", "attributes"),
+    "failures": ("attempt", "phase", "cause", "error_type", "transient",
+                 "resolution", "fault_kind", "host", "backoff_s"),
+}
+
+#: The planner and remedy logs' columns, in their tuple order.
+_DECISION_COLUMNS = ("round", "seq", "policy", "experiment_name",
+                     "action", "topology", "workload", "write_ratio",
+                     "reason", "fidelity")
+_REMEDIATION_COLUMNS = ("round", "seq", "stage", "kind", "target",
+                        "experiment_name", "detail", "score", "accepted")
+
+
+def _insert_sql(table, columns, verb="INSERT"):
+    return (f"{verb} INTO {table} ({', '.join(columns)}) "
+            f"VALUES ({','.join('?' * len(columns))})")
+
+
+def _select_sql(table, columns, order):
+    return f"SELECT {', '.join(columns)} FROM {table} ORDER BY {order}"
+
+
+# Statements built once, not per insert.
+_INSERT_TRIAL = _insert_sql("trials", _TRIAL_COLUMNS)
+_INSERT_CHILD = {table: _insert_sql(table, ("trial_id",) + columns)
+                 for table, columns in _CHILD_COLUMNS.items()}
+_INSERT_DECISION = _insert_sql("planner_decisions", _DECISION_COLUMNS,
+                               "INSERT OR REPLACE")
+_SELECT_DECISIONS = _select_sql("planner_decisions", _DECISION_COLUMNS,
+                                "round, seq")
+_INSERT_REMEDIATION = _insert_sql("remediations", _REMEDIATION_COLUMNS,
+                                  "INSERT OR REPLACE")
+_SELECT_REMEDIATIONS = _select_sql("remediations", _REMEDIATION_COLUMNS,
+                                   "round, seq")
+_SELECT_BY_KEY = ("SELECT id FROM trials WHERE "
+                  + " AND ".join(f"{column.column} = ?"
+                                 for column in TRIAL_IDENTITY))
+#: A TrialResult's ``trials`` row values, in :data:`_TRIAL_COLUMNS` order.
+_trial_values = operator.attrgetter(
+    *(column.attribute for column in _TRIAL_SCHEMA))
+#: ``(column, TrialMetrics field)`` and ``(column, TrialResult field)``
+#: pairs that rebuild a result from its row.
+_METRIC_FIELDS = tuple((column.column, column.attribute[len("metrics."):])
+                       for column in _TRIAL_SCHEMA
+                       if column.attribute.startswith("metrics."))
+_RESULT_FIELDS = tuple((column.column, column.attribute)
+                       for column in _TRIAL_SCHEMA
+                       if "." not in column.attribute)
 
 _SCHEMA = _TRIALS_TABLE + """;
 CREATE TABLE IF NOT EXISTS host_cpu (
@@ -219,10 +301,11 @@ class ResultsDatabase:
                 "TEXT NOT NULL DEFAULT 'des'")
             self._conn.commit()
         present = self._column_names("trials")
-        missing = [(name, default) for name, default in _TRIAL_SUFFIX
-                   if name not in present]
+        missing = [column for column in _TRIAL_SUFFIX
+                   if column.column not in present]
         if missing:
-            defaults = ", ".join(default for _name, default in missing)
+            defaults = ", ".join(_sql_literal(column.migrated)
+                                 for column in missing)
             # legacy_alter_table keeps the child tables' REFERENCES
             # pointing at "trials" through the rename, so they bind to
             # the rebuilt table rather than following trials_legacy.
@@ -267,9 +350,6 @@ class ResultsDatabase:
 
     # -- writes -----------------------------------------------------------
 
-    #: Child tables hanging off ``trials.id``.
-    _CHILD_TABLES = ("host_cpu", "state_metrics", "spans", "failures")
-
     def insert(self, result, replace=False):
         """Store a :class:`TrialResult`; returns its row id.
 
@@ -289,7 +369,6 @@ class ResultsDatabase:
 
     def _insert_locked(self, result, replace):
         """Write one trial and its children; caller commits."""
-        metrics = result.metrics
         if replace:
             # Replace by natural key *before* the insert.  The old
             # INSERT OR REPLACE path deleted children keyed on the new
@@ -298,53 +377,18 @@ class ResultsDatabase:
             # is SQLite's per-connection default; our own connections
             # enable it, but the database file must stay consistent
             # for any reader).
-            row = self._db.execute(
-                "SELECT id FROM trials WHERE experiment_name = ? AND "
-                "topology = ? AND workload = ? AND write_ratio = ? AND "
-                "seed = ? AND fidelity = ? AND scenario = ?",
-                (result.experiment_name, result.topology_label,
-                 result.workload, result.write_ratio, result.seed,
-                 getattr(result, "fidelity", "des"),
-                 getattr(result, "scenario", "")),
-            ).fetchone()
+            row = self._db.execute(_SELECT_BY_KEY,
+                                   trial_key(result)).fetchone()
             if row is not None:
                 old_id = row[0]
-                for table in self._CHILD_TABLES:
+                for table in _CHILD_COLUMNS:
                     self._db.execute(
                         f"DELETE FROM {table} WHERE trial_id = ?",
                         (old_id,))
                 self._db.execute("DELETE FROM trials WHERE id = ?",
                                  (old_id,))
         try:
-            cursor = self._db.execute(
-                """INSERT INTO trials (
-                    experiment_name, benchmark, platform, topology,
-                    workload, write_ratio, seed, status,
-                    completed_requests, errors, timeouts, rejections,
-                    duration_s, throughput, mean_response_s,
-                    p50_response_s, p90_response_s, p99_response_s,
-                    collected_bytes, script_lines, config_lines,
-                    generated_files, machine_count, fidelity, backlog,
-                    scenario
-                ) VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,
-                          ?,?,?,?)""",
-                (
-                    result.experiment_name, result.benchmark,
-                    result.platform, result.topology_label,
-                    result.workload, result.write_ratio, result.seed,
-                    result.status, metrics.completed, metrics.errors,
-                    metrics.timeouts, metrics.rejections,
-                    metrics.duration_s, metrics.throughput,
-                    metrics.mean_response_s, metrics.p50_response_s,
-                    metrics.p90_response_s, metrics.p99_response_s,
-                    result.collected_bytes, result.script_lines,
-                    result.config_lines, result.generated_files,
-                    result.machine_count,
-                    getattr(result, "fidelity", "des"),
-                    getattr(metrics, "backlog", 0),
-                    getattr(result, "scenario", ""),
-                ),
-            )
+            cursor = self._db.execute(_INSERT_TRIAL, _trial_values(result))
         except sqlite3.IntegrityError as error:
             raise ResultsError(
                 f"duplicate trial {result.experiment_name}/"
@@ -352,17 +396,14 @@ class ResultsDatabase:
             ) from error
         trial_id = cursor.lastrowid
         self._db.executemany(
-            "INSERT INTO host_cpu (trial_id, host, tier, cpu_percent) "
-            "VALUES (?,?,?,?)",
+            _INSERT_CHILD["host_cpu"],
             [
                 (trial_id, host, result.tier_of_host.get(host), cpu)
                 for host, cpu in sorted(result.host_cpu.items())
             ],
         )
         self._db.executemany(
-            "INSERT INTO state_metrics "
-            "(trial_id, state, count, errors, mean_response_s) "
-            "VALUES (?,?,?,?,?)",
+            _INSERT_CHILD["state_metrics"],
             [
                 (trial_id, state, stats["count"], stats["errors"],
                  stats["mean_response_s"])
@@ -372,9 +413,7 @@ class ResultsDatabase:
         spans = getattr(result, "spans", None)
         if spans:
             self._db.executemany(
-                "INSERT INTO spans (trial_id, span_id, parent_id, name, "
-                "start_s, duration_s, status, attributes) "
-                "VALUES (?,?,?,?,?,?,?,?)",
+                _INSERT_CHILD["spans"],
                 [
                     (trial_id, span.span_id, span.parent_id, span.name,
                      span.start_s, span.duration_s, span.status,
@@ -385,9 +424,7 @@ class ResultsDatabase:
         failures = getattr(result, "failures", None)
         if failures:
             self._db.executemany(
-                "INSERT INTO failures (trial_id, attempt, phase, cause, "
-                "error_type, transient, resolution, fault_kind, host, "
-                "backoff_s) VALUES (?,?,?,?,?,?,?,?,?,?)",
+                _INSERT_CHILD["failures"],
                 [
                     (trial_id, f.attempt, f.phase, f.cause, f.error_type,
                      int(f.transient), f.resolution, f.fault_kind,
@@ -427,7 +464,7 @@ class ResultsDatabase:
         """
         problems = []
         with self._lock:
-            for table in self._CHILD_TABLES:
+            for table in _CHILD_COLUMNS:
                 count = self._db.execute(
                     f"SELECT COUNT(*) FROM {table} c WHERE NOT EXISTS "
                     f"(SELECT 1 FROM trials t WHERE t.id = c.trial_id)"
@@ -518,11 +555,9 @@ class ResultsDatabase:
         """The identity key of every stored trial — the campaign's
         checkpoint: a resume skips exactly these."""
         with self._lock:
-            rows = self._db.execute(
-                "SELECT experiment_name, topology, workload, write_ratio, "
-                "seed, fidelity, scenario FROM trials ORDER BY id"
+            return self._db.execute(
+                f"SELECT {_IDENTITY_COLUMNS} FROM trials ORDER BY id"
             ).fetchall()
-        return [tuple(row) for row in rows]
 
     def dump_rows(self, table):
         """Every row of *table*, ordered by rowid — the raw comparison
@@ -540,10 +575,6 @@ class ResultsDatabase:
 
     # -- planner decisions (the planner plane's log) ------------------------
 
-    _DECISION_COLUMNS = ("round", "seq", "policy", "experiment_name",
-                         "action", "topology", "workload", "write_ratio",
-                         "reason", "fidelity")
-
     def has_table(self, name):
         """Whether *name* exists in this database file.
 
@@ -559,19 +590,8 @@ class ResultsDatabase:
                 "AND name = ?", (name,)).fetchone()
         return row is not None
 
-    def has_column(self, table, column):
-        """Whether *table* carries *column* in this database file.
-
-        The column-level sibling of :meth:`has_table`: reports reading
-        a file written by an older tool (a pre-scenario ``trials``
-        table, say) check here and degrade with an explicit note
-        instead of catching ``OperationalError``.
-        """
-        with self._lock:
-            return column in self._column_names(table)
-
     def insert_decisions(self, rows):
-        """Store planner-decision tuples (in :attr:`_DECISION_COLUMNS`
+        """Store planner-decision tuples (in :data:`_DECISION_COLUMNS`
         order) in one transaction.  ``INSERT OR REPLACE`` keyed on
         ``(round, seq)`` makes re-logging a replayed round idempotent."""
         rows = list(rows)
@@ -579,11 +599,7 @@ class ResultsDatabase:
             return
         with self._lock:
             try:
-                self._db.executemany(
-                    "INSERT OR REPLACE INTO planner_decisions "
-                    "(round, seq, policy, experiment_name, action, "
-                    "topology, workload, write_ratio, reason, fidelity) "
-                    "VALUES (?,?,?,?,?,?,?,?,?,?)", rows)
+                self._db.executemany(_INSERT_DECISION, rows)
             except Exception:
                 self._db.rollback()
                 raise
@@ -608,11 +624,8 @@ class ResultsDatabase:
         if not self.has_table("planner_decisions"):
             return []
         with self._lock:
-            rows = self._db.execute(
-                "SELECT round, seq, policy, experiment_name, action, "
-                "topology, workload, write_ratio, reason, fidelity "
-                "FROM planner_decisions ORDER BY round, seq").fetchall()
-        return [dict(zip(self._DECISION_COLUMNS, row)) for row in rows]
+            rows = self._db.execute(_SELECT_DECISIONS).fetchall()
+        return [dict(zip(_DECISION_COLUMNS, row)) for row in rows]
 
     def decision_count(self):
         if not self.has_table("planner_decisions"):
@@ -623,12 +636,8 @@ class ResultsDatabase:
 
     # -- remediations (the remedy plane's log) ------------------------------
 
-    _REMEDIATION_COLUMNS = ("round", "seq", "stage", "kind", "target",
-                            "experiment_name", "detail", "score",
-                            "accepted")
-
     def insert_remediations(self, rows):
-        """Store remediation tuples (in :attr:`_REMEDIATION_COLUMNS`
+        """Store remediation tuples (in :data:`_REMEDIATION_COLUMNS`
         order) in one transaction.  ``INSERT OR REPLACE`` keyed on
         ``(round, seq)`` makes re-logging a replayed round idempotent —
         the same property :meth:`insert_decisions` gives the planner."""
@@ -637,11 +646,7 @@ class ResultsDatabase:
             return
         with self._lock:
             try:
-                self._db.executemany(
-                    "INSERT OR REPLACE INTO remediations "
-                    "(round, seq, stage, kind, target, experiment_name, "
-                    "detail, score, accepted) VALUES (?,?,?,?,?,?,?,?,?)",
-                    rows)
+                self._db.executemany(_INSERT_REMEDIATION, rows)
             except Exception:
                 self._db.rollback()
                 raise
@@ -663,11 +668,8 @@ class ResultsDatabase:
         if not self.has_table("remediations"):
             return []
         with self._lock:
-            rows = self._db.execute(
-                "SELECT round, seq, stage, kind, target, experiment_name, "
-                "detail, score, accepted FROM remediations "
-                "ORDER BY round, seq").fetchall()
-        return [dict(zip(self._REMEDIATION_COLUMNS, row)) for row in rows]
+            rows = self._db.execute(_SELECT_REMEDIATIONS).fetchall()
+        return [dict(zip(_REMEDIATION_COLUMNS, row)) for row in rows]
 
     def remediation_count(self):
         if not self.has_table("remediations"):
@@ -800,47 +802,19 @@ class ResultsDatabase:
         if experiment_name is not None:
             clause = "AND t.experiment_name = ?"
             params = (experiment_name,)
+        names = ("trial_id", *(column.column for column in TRIAL_IDENTITY),
+                 "status")
         with self._lock:
             rows = self._db.execute(
-                f"""SELECT t.id, t.experiment_name, t.topology,
-                           t.workload, t.write_ratio, t.seed, t.status,
-                           t.fidelity, t.scenario
+                f"""SELECT t.id, {_IDENTITY_COLUMNS}, t.status
                     FROM trials t
                     WHERE EXISTS (SELECT 1 FROM spans s
                                   WHERE s.trial_id = t.id) {clause}
                     ORDER BY t.id""", params).fetchall()
-        traced = []
-        for (trial_id, experiment, topology, workload, write_ratio, seed,
-                status, fidelity, scenario) in rows:
-            info = {
-                "trial_id": trial_id, "experiment_name": experiment,
-                "topology": topology, "workload": workload,
-                "write_ratio": write_ratio, "seed": seed, "status": status,
-                "fidelity": fidelity, "scenario": scenario,
-            }
-            traced.append((info, self.spans_for(trial_id)))
-        return traced
+        return [(dict(zip(names, row)), self.spans_for(row[0]))
+                for row in rows]
 
     # -- shards (the campaign service plane) --------------------------------
-
-    _TRIAL_COLUMNS = (
-        "experiment_name", "benchmark", "platform", "topology", "workload",
-        "write_ratio", "seed", "status", "completed_requests", "errors",
-        "timeouts", "rejections", "duration_s", "throughput",
-        "mean_response_s", "p50_response_s", "p90_response_s",
-        "p99_response_s", "collected_bytes", "script_lines", "config_lines",
-        "generated_files", "machine_count", "fidelity", "backlog",
-        "scenario",
-    )
-
-    _CHILD_COLUMNS = {
-        "host_cpu": ("host", "tier", "cpu_percent"),
-        "state_metrics": ("state", "count", "errors", "mean_response_s"),
-        "spans": ("span_id", "parent_id", "name", "start_s", "duration_s",
-                  "status", "attributes"),
-        "failures": ("attempt", "phase", "cause", "error_type", "transient",
-                     "resolution", "fault_kind", "host", "backoff_s"),
-    }
 
     def absorb_shard(self, shard, *, meta_prefix=None, round_base=0):
         """Copy every row of *shard* into this database, in shard order.
@@ -866,52 +840,30 @@ class ResultsDatabase:
                     self._db.execute(
                         "INSERT OR REPLACE INTO campaign_meta (key, value) "
                         "VALUES (?, ?)", (name, value))
-                trial_cols = ", ".join(self._TRIAL_COLUMNS)
-                placeholders = ",".join("?" * len(self._TRIAL_COLUMNS))
                 for row in src.execute(
-                        f"SELECT id, {trial_cols} FROM trials "
-                        f"ORDER BY id").fetchall():
+                        f"SELECT id, {', '.join(_TRIAL_COLUMNS)} "
+                        f"FROM trials ORDER BY id").fetchall():
                     old_id, values = row[0], row[1:]
-                    cursor = self._db.execute(
-                        f"INSERT INTO trials ({trial_cols}) "
-                        f"VALUES ({placeholders})", values)
+                    cursor = self._db.execute(_INSERT_TRIAL, values)
                     new_id = cursor.lastrowid
-                    for table in self._CHILD_TABLES:
-                        columns = self._CHILD_COLUMNS[table]
-                        child_cols = ", ".join(columns)
-                        child_marks = ",".join("?" * (len(columns) + 1))
+                    for table, columns in _CHILD_COLUMNS.items():
                         for child in src.execute(
-                                f"SELECT {child_cols} FROM {table} "
+                                f"SELECT {', '.join(columns)} FROM {table} "
                                 f"WHERE trial_id = ? ORDER BY rowid",
                                 (old_id,)).fetchall():
-                            self._db.execute(
-                                f"INSERT INTO {table} (trial_id, "
-                                f"{child_cols}) VALUES ({child_marks})",
-                                (new_id,) + tuple(child))
+                            self._db.execute(_INSERT_CHILD[table],
+                                             (new_id,) + tuple(child))
                     absorbed += 1
                 if shard.has_table("planner_decisions"):
-                    for row in src.execute(
-                            "SELECT round, seq, policy, experiment_name, "
-                            "action, topology, workload, write_ratio, "
-                            "reason, fidelity FROM planner_decisions "
-                            "ORDER BY round, seq").fetchall():
+                    for row in src.execute(_SELECT_DECISIONS).fetchall():
                         self._db.execute(
-                            "INSERT OR REPLACE INTO planner_decisions "
-                            "(round, seq, policy, experiment_name, action, "
-                            "topology, workload, write_ratio, reason, "
-                            "fidelity) VALUES (?,?,?,?,?,?,?,?,?,?)",
+                            _INSERT_DECISION,
                             (row[0] + round_base,) + tuple(row[1:]))
                 if shard.has_table("remediations"):
                     for row in src.execute(
-                            "SELECT round, seq, stage, kind, target, "
-                            "experiment_name, detail, score, accepted "
-                            "FROM remediations "
-                            "ORDER BY round, seq").fetchall():
+                            _SELECT_REMEDIATIONS).fetchall():
                         self._db.execute(
-                            "INSERT OR REPLACE INTO remediations "
-                            "(round, seq, stage, kind, target, "
-                            "experiment_name, detail, score, accepted) "
-                            "VALUES (?,?,?,?,?,?,?,?,?)",
+                            _INSERT_REMEDIATION,
                             (row[0] + round_base,) + tuple(row[1:]))
                 if shard.has_table("run_cards"):
                     # Provenance travels with the rows: the merged
@@ -940,19 +892,8 @@ class ResultsDatabase:
         return row[0] or 0
 
     def _to_result(self, row):
-        metrics = TrialMetrics(
-            completed=row["completed_requests"],
-            errors=row["errors"],
-            timeouts=row["timeouts"],
-            rejections=row["rejections"],
-            duration_s=row["duration_s"],
-            throughput=row["throughput"],
-            mean_response_s=row["mean_response_s"],
-            p50_response_s=row["p50_response_s"],
-            p90_response_s=row["p90_response_s"],
-            p99_response_s=row["p99_response_s"],
-            backlog=row.get("backlog", 0),
-        )
+        metrics = TrialMetrics(**{field: row[column]
+                                  for column, field in _METRIC_FIELDS})
         cpu_rows = self._db.execute(
             "SELECT host, tier, cpu_percent FROM host_cpu "
             "WHERE trial_id = ?", (row["id"],)).fetchall()
@@ -973,27 +914,13 @@ class ResultsDatabase:
         gave_up = any(f.resolution == GAVE_UP for f in attempt_rows)
         attempts = len(attempt_rows) + (0 if gave_up else 1)
         return TrialResult(
-            experiment_name=row["experiment_name"],
-            benchmark=row["benchmark"],
-            platform=row["platform"],
-            topology_label=row["topology"],
-            workload=row["workload"],
-            write_ratio=row["write_ratio"],
-            seed=row["seed"],
-            status=row["status"],
+            **{field: row[column] for column, field in _RESULT_FIELDS},
             metrics=metrics,
             host_cpu={host: cpu for host, _tier, cpu in cpu_rows},
             tier_of_host={host: tier for host, tier, _cpu in cpu_rows},
             per_state=per_state,
-            collected_bytes=row["collected_bytes"],
-            script_lines=row["script_lines"],
-            config_lines=row["config_lines"],
-            generated_files=row["generated_files"],
-            machine_count=row["machine_count"],
             attempts=attempts,
             failures=failures,
-            fidelity=row["fidelity"],
-            scenario=row.get("scenario", ""),
         )
 
 

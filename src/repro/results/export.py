@@ -13,6 +13,19 @@ import io
 import json
 
 from repro.errors import ResultsError
+from repro.experiments.trial import TRIAL_IDENTITY
+
+#: Identity columns that postdate the first export format.
+_LATER_IDENTITY = tuple(column for column in TRIAL_IDENTITY
+                        if column.migrated is not None)
+
+#: Columns appended after the first export format, with the value an
+#: older export's rows imply for them (the database's migration
+#: defaults).  Appending keeps every earlier column's position; the
+#: identity columns come last so a new identity axis appends too.
+_APPENDED = {"backlog": 0,
+             **{column.column: column.migrated
+                for column in _LATER_IDENTITY}}
 
 #: Trial-level columns, in export order.
 TRIAL_FIELDS = (
@@ -22,7 +35,7 @@ TRIAL_FIELDS = (
     "p50_response_ms", "p90_response_ms", "p99_response_ms",
     "error_ratio", "app_cpu_percent", "db_cpu_percent", "web_cpu_percent",
     "collected_bytes", "script_lines", "config_lines", "machine_count",
-    "attempts",
+    "attempts", *_APPENDED,
 )
 
 
@@ -57,6 +70,9 @@ def trial_row(result):
         "config_lines": result.config_lines,
         "machine_count": result.machine_count,
         "attempts": result.attempts,
+        "backlog": metrics.backlog,
+        **{column.column: getattr(result, column.attribute)
+           for column in _LATER_IDENTITY},
     }
 
 
@@ -103,14 +119,18 @@ def to_json(results, indent=2):
 
 
 def from_csv(text):
-    """Parse an exported CSV back into plain dict rows (typed)."""
+    """Parse an exported CSV back into plain dict rows (typed).
+
+    An export written before the :data:`_APPENDED` columns existed
+    still parses; its rows take those columns' default values.
+    """
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or \
-            set(TRIAL_FIELDS) - set(reader.fieldnames):
+            set(TRIAL_FIELDS) - set(_APPENDED) - set(reader.fieldnames):
         raise ResultsError("not a repro trial export (missing columns)")
     int_fields = {"workload", "seed", "completed", "errors", "timeouts",
                   "rejections", "collected_bytes", "script_lines",
-                  "config_lines", "machine_count", "attempts"}
+                  "config_lines", "machine_count", "attempts", "backlog"}
     rows = []
     for raw in reader:
         row = {}
@@ -122,5 +142,7 @@ def from_csv(text):
                     row[key] = float(value)
                 except ValueError:
                     row[key] = value
+        for key, default in _APPENDED.items():
+            row.setdefault(key, default)
         rows.append(row)
     return rows

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the export module."""
 
+import dataclasses
 import json
 
 import pytest
@@ -50,6 +51,36 @@ class TestExport:
     def test_from_csv_rejects_garbage(self):
         with pytest.raises(ResultsError):
             from_csv("a,b\n1,2\n")
+
+    def test_trials_differing_only_in_identity_export_distinctly(self):
+        des = make_result()
+        trials = [des, dataclasses.replace(des, fidelity="analytic"),
+                  dataclasses.replace(des, scenario="consolidated-2x")]
+        csv_rows = to_csv(trials).splitlines()[1:]
+        assert len(set(csv_rows)) == 3
+        objects = {json.dumps(row, sort_keys=True)
+                   for row in json.loads(to_json(trials))}
+        assert len(objects) == 3
+        assert [(row["fidelity"], row["scenario"])
+                for row in from_csv(to_csv(trials))] == [
+            ("des", ""), ("analytic", ""), ("des", "consolidated-2x")]
+
+    def test_export_without_the_appended_columns_still_parses(self):
+        # Written before fidelity, scenario and backlog were exported.
+        older = (
+            "experiment_name,benchmark,platform,topology,workload,"
+            "write_ratio,seed,status,completed,errors,timeouts,rejections,"
+            "duration_s,throughput,mean_response_ms,p50_response_ms,"
+            "p90_response_ms,p99_response_ms,error_ratio,app_cpu_percent,"
+            "db_cpu_percent,web_cpu_percent,collected_bytes,script_lines,"
+            "config_lines,machine_count,attempts\n"
+            "exp,rubis,emulab,1-1-1,100,0.15,42,completed,428,0,0,0,30.0,"
+            "14.2857,50.0,50.0,100.0,150.0,0.0,50.0,20.0,0.0,100000,1000,"
+            "60,5,1\n")
+        (row,) = from_csv(older)
+        assert row == from_csv(to_csv([make_result()]))[0]
+        assert (row["fidelity"], row["scenario"], row["backlog"]) == \
+            ("des", "", 0)
 
 
 class TestCli:

@@ -17,6 +17,7 @@ from repro.errors import AllocationError, ExperimentError, ResultsError
 from repro.experiments import build_experiment
 from repro.experiments.figures import make_runner
 from repro.experiments.scheduler import TrialScheduler, enumerate_tasks
+from repro.experiments.trial import trial_key
 from repro.results import ResultsDatabase
 from repro.spec.topology import Topology
 from repro.vcluster import VirtualCluster
@@ -57,11 +58,11 @@ class TestTaskEnumeration:
         assert [t.index for t in tasks] == list(range(8))
         # points() iterates topologies outer, workloads inner; each
         # point repeats under seed, seed+1 before the next point.
-        assert tasks[0].key() == ("sched", "1-1-1", 100, 0.15, 42, "des", "")
-        assert tasks[1].key() == ("sched", "1-1-1", 100, 0.15, 43, "des", "")
-        assert tasks[2].key() == ("sched", "1-1-1", 200, 0.15, 42, "des", "")
-        assert tasks[4].key() == ("sched", "1-2-1", 100, 0.15, 42, "des", "")
-        assert len({t.key() for t in tasks}) == 8
+        assert trial_key(tasks[0]) == ("sched", "1-1-1", 100, 0.15, 42, "des", "")
+        assert trial_key(tasks[1]) == ("sched", "1-1-1", 100, 0.15, 43, "des", "")
+        assert trial_key(tasks[2]) == ("sched", "1-1-1", 200, 0.15, 42, "des", "")
+        assert trial_key(tasks[4]) == ("sched", "1-2-1", 100, 0.15, 42, "des", "")
+        assert len({trial_key(t) for t in tasks}) == 8
 
     def test_start_index_offsets_across_experiments(self):
         experiment = _experiment(workloads=(100, 200))
