@@ -15,7 +15,8 @@ Three gates:
 
 * **Identity** — the 64-trial smoke campaign stores byte-identical
   tables (trials, host_cpu, state_metrics, spans, failures) under the
-  compiled engine and the ``REPRO_SHELLVM=interp`` oracle.  A frozen
+  compiled engine and the tree-walk oracle
+  (``ShellInterpreter.engine = "interp"``).  A frozen
   tracer clock makes the span trees comparable.
 * **Speedup** — one *shell cycle* is the smoke bundle's full
   ``run.sh`` + ``teardown.sh`` replay on a live virtual cluster: the
@@ -34,7 +35,6 @@ Three gates:
 
 import gc
 import json
-import os
 import pathlib
 import statistics
 import time
@@ -74,8 +74,8 @@ ROUNDS = 5
 
 
 def _engine(name):
-    """Set the engine for interpreters constructed from here on."""
-    os.environ["REPRO_SHELLVM"] = name
+    """Set the engine every interpreter runs from here on."""
+    ShellInterpreter.engine = name
 
 
 def _campaign_leg(engine):
@@ -138,7 +138,7 @@ def _cycle_seconds(bundle, engine, cycles=CYCLES):
 
 
 def test_bench_shellvm():
-    previous = os.environ.get("REPRO_SHELLVM")
+    previous = ShellInterpreter.engine
     hotpath.clear()
     try:
         # -- identity: the compiled engine must be unobservable --------
@@ -160,10 +160,7 @@ def test_bench_shellvm():
         interp_cycle = _cycle_seconds(bundle, "interp")
         compiled_cycle = _cycle_seconds(bundle, "compiled")
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_SHELLVM", None)
-        else:
-            os.environ["REPRO_SHELLVM"] = previous
+        _engine(previous)
 
     payload = {
         "campaign": "shellvm-smoke",

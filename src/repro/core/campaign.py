@@ -509,10 +509,7 @@ class ObservationCampaign:
         return jobs
 
     def _preflight(self, jobs):
-        """Fail fast on misconfigurations no trial should pay for —
-        most notably a mistyped ``REPRO_SHELLVM``, which the engine
-        selector would otherwise silently resolve to the compiled
-        default."""
+        """Fail fast on misconfigurations no trial should pay for."""
         problems = provenance.preflight(
             self.state, jobs=jobs, database_path=self.database.path)
         if problems:
@@ -528,10 +525,10 @@ class ObservationCampaign:
         self-describing reproducibility bundle: campaign_meta holds the
         inputs to re-run, the card certifies what one run produced.
         """
-        from repro.shellvm.interpreter import engine_mode
+        from repro.shellvm.interpreter import ShellInterpreter
 
         card = provenance.build_run_card(
-            report=report, state=self.state, engine=engine_mode(),
+            report=report, state=self.state, engine=ShellInterpreter.engine,
             jobs=jobs, fidelity=fidelity, wall_s=wall_s)
         self.database.insert_run_card(card)
         provenance.export_run_card(card, self.database.path)

@@ -18,10 +18,8 @@ both the inputs and the resulting tables.  Re-derivation is therefore
 checkable: rebuild the campaign from meta, re-run with the card's
 parameters, and compare :func:`table_digests`.
 
-:func:`preflight` runs the cheap checks that catch a doomed or
-silently-misconfigured campaign before any trial runs — most notably a
-mistyped ``REPRO_SHELLVM`` value, which the engine selector would
-otherwise quietly resolve to the compiled default.
+:func:`preflight` runs the cheap checks that catch a doomed campaign
+before any trial runs.
 """
 
 from __future__ import annotations
@@ -159,30 +157,17 @@ def verify_run_card(card, database):
 
 # -- preflight ----------------------------------------------------------
 
-#: ``REPRO_SHELLVM`` values the engine selector understands; anything
-#: else silently resolves to the compiled default, which is exactly the
-#: misconfiguration preflight exists to surface.
-KNOWN_ENGINE_VALUES = ("", "interp", "interpreter", "compiled")
-
-
 def preflight(state, *, jobs=1, database_path=None):
     """Cheap pre-run checks; returns a list of problem strings.
 
-    Fatal misconfigurations (bad jobs, unwritable database directory)
-    and silent ones (a mistyped engine selector) are caught before the
-    first trial allocates a cluster.  Spec validation warnings are not
-    repeated here — the campaign already reports those.
+    Misconfigurations (bad jobs, an undersized cluster, an unwritable
+    database directory) are caught before the first trial allocates a
+    cluster.  Spec validation warnings are not repeated here — the
+    campaign already reports those.
     """
     problems = []
     if not isinstance(jobs, int) or jobs < 1:
         problems.append(f"jobs must be a positive integer, got {jobs!r}")
-    engine = os.environ.get("REPRO_SHELLVM", "").strip().lower()
-    if engine not in KNOWN_ENGINE_VALUES:
-        problems.append(
-            f"REPRO_SHELLVM={engine!r} is not a known engine "
-            f"(interp/compiled); the selector would silently fall back "
-            f"to the compiled engine"
-        )
     needed = max(e.max_machine_count() for e in state.spec.experiments)
     if needed > state.node_count:
         problems.append(

@@ -9,13 +9,12 @@ fails, exactly as on a physical cluster.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 from repro.errors import ClusterError, CommandError, ShellError
 from repro.faults.injector import NULL_INJECTOR
 from repro.obs.tracer import as_tracer
-from repro.shellvm.builtins import REGISTRY
+from repro.shellvm.builtins import REGISTRY, bind_program
 from repro.shellvm.environment import (
     ExitScript,
     ShellEnvironment,
@@ -54,20 +53,14 @@ class LogEntry(NamedTuple):
 from repro.shellvm.compiler import compile_text  # noqa: E402
 
 
-def engine_mode():
-    """Which execution engine ``REPRO_SHELLVM`` selects.
-
-    ``interp`` (or ``interpreter``) keeps the original tree-walker as
-    the oracle; anything else — including unset — takes the compiled
-    closure form.  Read at interpreter construction, so flipping the
-    variable affects the next trial, never a script mid-flight.
-    """
-    value = os.environ.get("REPRO_SHELLVM", "compiled").strip().lower()
-    return "interp" if value in ("interp", "interpreter") else "compiled"
-
-
 class ShellInterpreter:
     """Executes parsed scripts against virtual hosts on one network."""
+
+    #: The execution engine.  ``"compiled"`` runs each script as its
+    #: compiled closure program; ``"interp"`` walks the AST and is the
+    #: oracle the compiler is tested against.  Tests and benchmarks
+    #: select the oracle by patching this class attribute.
+    engine = "compiled"
 
     def __init__(self, network, *, tracer=None, faults=None):
         self.network = network
@@ -76,7 +69,6 @@ class ShellInterpreter:
         self.log = []
         self.slept_seconds = 0.0
         self._depth = 0
-        self.engine = engine_mode()
 
     # -- public entry points ----------------------------------------------
 
@@ -259,34 +251,17 @@ class ShellInterpreter:
 
     def _dispatch(self, argv, env, node):
         name = argv[0]
-        handler = REGISTRY.get(name)
-        if handler is not None:
+        bind = REGISTRY.get(name)
+        if bind is not None:
             if node.background:
                 # Background builtins (monitors started with &) become
                 # processes so teardown can find and kill them.
                 env.host.spawn(argv, background=True)
                 return 0, ""
-            return handler(self, env, argv)
+            return bind(argv)(self, env)
         if "/" in name:
-            return self._execute_program(argv, env, node)
+            return bind_program(argv, node.background)(self, env)
         raise CommandError(f"command not found: {name}")
-
-    def _execute_program(self, argv, env, node):
-        path = normalize(argv[0], env.cwd)
-        if not env.host.fs.is_file(path):
-            return 127, f"{argv[0]}: no such file\n"
-        if node.background:
-            env.host.spawn([path] + list(argv[1:]), background=True)
-            return 0, ""
-        if path.endswith(".sh"):
-            # Directly-invoked shell scripts are interpreted in place.
-            return self.run_script_file(env.host, path, args=argv[1:],
-                                        parent_env=env)
-        # A foreground binary runs to completion; model as a transient
-        # process that has already exited successfully.
-        process = env.host.spawn([path] + list(argv[1:]), background=False)
-        process.alive = False
-        return 0, ""
 
     # -- audit helpers ------------------------------------------------------
 

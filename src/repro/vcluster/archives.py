@@ -52,21 +52,12 @@ def _build_archive(package):
     return "\n".join(lines) + "\n"
 
 
-_PARSE_CACHE = hotpath.MemoCache("vcluster.unarchive", capacity=256)
-
-
 def parse_archive(text):
     """Parse archive text back to ``{member_path: content}``.
 
-    Memoized on the archive text: every host of a tier extracts the
-    same package tarball, so a deployment parses each archive once.
-    Callers must treat the returned dict as immutable (the ``tar``
-    builtin only iterates it).
+    Not memoized itself: the ``tar`` builtin reaches it only through
+    :func:`extraction_plan`, whose memo already holds the result.
     """
-    return _PARSE_CACHE.get(text, lambda: _parse_archive(text))
-
-
-def _parse_archive(text):
     lines = text.split("\n")
     if not lines or not lines[0].startswith(MAGIC):
         raise ClusterError("not a repro tarball (bad magic)")

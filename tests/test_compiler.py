@@ -13,13 +13,16 @@ compiler (errexit scoping, CommandError diagnostics under redirect) so
 neither engine can reintroduce them.
 """
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError, ShellError
 from repro.shellvm import ShellInterpreter
-from repro.shellvm.interpreter import engine_mode
+from repro.shellvm.compiler import compile_text
 from repro.spec import get_platform
 from repro.vcluster import VirtualHost, VirtualNetwork
 
@@ -50,12 +53,11 @@ def run_engine(engine, text, monkeypatch, *, setup=None):
     ``ShellError`` in the status slot with the rest ``None``, so both
     engines can be compared even when the script aborts.
     """
-    monkeypatch.setenv("REPRO_SHELLVM", engine)
+    monkeypatch.setattr(ShellInterpreter, "engine", engine)
     network = fresh_network()
     if setup is not None:
         setup(network)
     interp = ShellInterpreter(network)
-    assert interp.engine == engine_mode() == engine
     try:
         status, output = interp.run_text_on(network.host("control"), text)
     except ReproError as error:
@@ -116,6 +118,24 @@ CORPUS = [
     'set -e\necho before\ntrue\necho after',
     'set -e\nfalse || echo spared\necho alive',
     'set -e\nif false; then echo no; else echo cond-spared; fi',
+    # Bind failures surface when the command runs, diagnostic and all
+    'mkdir\necho after',
+    'rm -z /x\necho after',
+    'sleep abc\necho after',
+    '[ a\necho after',
+    'set -x\necho after',
+    'set -e -x\necho unreachable',
+    'tar -xzf /nope.tgz\necho after',
+    # Relative operands resolve against the cwd at run time
+    'cd /tmp\nmkdir rel\ntest -d rel && echo made\ntest -d /tmp/rel',
+    'cd /tmp\necho x > f\ncat f\nrm f\ntest -f /tmp/f || echo gone',
+    # Remotes that must not fuse, and fused ones at the edges
+    'ssh node-1 exit 3\necho after',
+    'ssh node-1 cd /tmp\necho after',
+    'ssh node-1 "export A=1"\necho after',
+    'ssh node-1 mkdir rel\nssh node-1 test -d /rel && echo made',
+    'ssh node-1 "set -e -x"\necho unreachable',
+    'ssh node-1 "sleep abc"\necho after',
 ]
 
 
@@ -204,15 +224,13 @@ def shell_scripts(draw):
 @settings(max_examples=120, deadline=None)
 @given(shell_scripts())
 def test_fuzz_engines_agree(text):
-    # No monkeypatch inside hypothesis: set the env var by hand around
+    # No monkeypatch inside hypothesis: set the engine by hand around
     # each engine run (fresh networks make the runs independent).
-    import os
-
     results = {}
-    previous = os.environ.get("REPRO_SHELLVM")
+    previous = ShellInterpreter.engine
     try:
         for engine in ("compiled", "interp"):
-            os.environ["REPRO_SHELLVM"] = engine
+            ShellInterpreter.engine = engine
             network = fresh_network()
             interp = ShellInterpreter(network)
             try:
@@ -224,10 +242,7 @@ def test_fuzz_engines_agree(text):
             results[engine] = (head, list(interp.log),
                                interp.slept_seconds, fs_state(network))
     finally:
-        if previous is None:
-            os.environ.pop("REPRO_SHELLVM", None)
-        else:
-            os.environ["REPRO_SHELLVM"] = previous
+        ShellInterpreter.engine = previous
     assert results["compiled"] == results["interp"], (
         f"engines diverge on:\n{text}"
     )
@@ -312,3 +327,34 @@ class TestDiagnosticRedirectRegression:
         assert files[("control", "/tmp/out.txt")] == ""
         assert "command not found" in output
         assert output.endswith("done\n")
+
+
+# -- regression: concurrent compiles ------------------------------------
+
+
+def test_concurrent_compiles_past_any_table_bound():
+    """Compiling from several threads raises nothing, even once more
+    than 4096 distinct texts have been compiled."""
+    for n in range(4200):
+        compile_text(f"echo fill-{n}")
+    errors = []
+
+    def compile_many(worker):
+        try:
+            for n in range(600):
+                compile_text(f"echo worker-{worker}-{n % 50}")
+        except Exception as error:   # noqa: BLE001 - any failure counts
+            errors.append(error)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=compile_many, args=(worker,))
+                   for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(previous)
+    assert errors == []
