@@ -11,7 +11,9 @@ drives one path that stores or reuses trials by their identity key:
 * ``heal`` — a faulted campaign healed in place (the remedy plane's
   done-dicts and replace-by-key inserts);
 * ``scenario-flash-crowd`` — one scenario-matrix row (scenario identity,
-  open-loop backlog).
+  open-loop backlog);
+* ``figure-table6`` and ``figure5-analytic`` — a shrunken paper figure on
+  each fidelity tier, through ``ExperimentRunner.run_experiment``.
 
 The schema of a fresh database is recorded too, and databases from the
 pre-fidelity and pre-scenario eras must migrate to exactly that shape.
@@ -28,7 +30,7 @@ import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, resume_campaign, \
     run_campaign
-from repro.api import heal_campaign, run_scenario
+from repro.api import heal_campaign, reproduce_figure, run_scenario
 from repro.core.campaign import ObservationCampaign
 from repro.faults import EVERY_ATTEMPT
 from repro.provenance import DIGEST_TABLES, table_digests
@@ -120,11 +122,22 @@ def scenario_flash_crowd(database):
     run_scenario("flash-crowd-slo", database=database)
 
 
+def figure_table6(database):
+    reproduce_figure("table6", scale=0.05, database=database)
+
+
+def figure5_analytic(database):
+    reproduce_figure("figure5", scale=0.05, fidelity="analytic",
+                     database=database)
+
+
 CAMPAIGNS = {
     "chaos-retries": chaos_retries,
     "tiered-resume": tiered_resume,
     "heal": heal,
     "scenario-flash-crowd": scenario_flash_crowd,
+    "figure-table6": figure_table6,
+    "figure5-analytic": figure5_analytic,
 }
 
 
