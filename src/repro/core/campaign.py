@@ -38,7 +38,6 @@ import time
 
 from repro import hotpath, provenance
 from repro.core.characterization import PerformanceMap
-from repro.deprecation import absorb_positional
 from repro.errors import ExperimentError
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import QUARANTINED, RetryPolicy, as_policy
@@ -281,9 +280,9 @@ class CampaignState:
 class ObservationCampaign:
     """End-to-end campaign bound to one TBL spec and one cluster.
 
-    Everything after *tbl_text* is keyword-only (the legacy positional
-    form is deprecated); a *tracer* makes every trial of the campaign
-    record its lifecycle span tree into the database's ``spans`` table.
+    Everything after *tbl_text* is keyword-only; a *tracer* makes every
+    trial of the campaign record its lifecycle span tree into the
+    database's ``spans`` table.
 
     *faults* arms a :class:`~repro.faults.FaultPlan` on every runner of
     the campaign (the chaos mode); *retry* sets the
@@ -297,22 +296,15 @@ class ObservationCampaign:
     plane-wide totals.
     """
 
-    def __init__(self, tbl_text, *args, mof_text=None, database=None,
+    def __init__(self, tbl_text, *, mof_text=None, database=None,
                  node_count=36, tbl_source="<campaign>", tracer=None,
                  faults=None, retry=None, state=None, tenant=None):
-        merged = absorb_positional(
-            "ObservationCampaign",
-            ("mof_text", "database", "node_count", "tbl_source"), args,
-            {"mof_text": mof_text, "database": database,
-             "node_count": node_count, "tbl_source": tbl_source})
-        database = merged["database"]
         self.tracer = as_tracer(tracer)
         self.tenant = tenant
         if state is None:
-            state = CampaignState(tbl_text,
-                                  mof_text=merged["mof_text"],
-                                  node_count=merged["node_count"],
-                                  tbl_source=merged["tbl_source"],
+            state = CampaignState(tbl_text, mof_text=mof_text,
+                                  node_count=node_count,
+                                  tbl_source=tbl_source,
                                   faults=faults, retry=retry)
         self.state = state
         self.cluster = VirtualCluster(self.spec.platform,
@@ -421,11 +413,8 @@ class ObservationCampaign:
         try:
             if executor is not None:
                 executor.run_tasks(tasks, store)
-            elif jobs == 1:
-                for task in tasks:
-                    store(self.runner.run_task(task))
             else:
-                scheduler = TrialScheduler(self._worker_runner, jobs=jobs,
+                scheduler = TrialScheduler(self.runner, jobs=jobs,
                                            backend=backend,
                                            tracer=self.tracer)
                 scheduler.run(tasks, on_result=store)
@@ -634,8 +623,8 @@ class ObservationCampaign:
                                          on_progress=on_progress,
                                          total=None)
         session = None
-        if executor is None and jobs != 1:
-            scheduler = TrialScheduler(self._worker_runner, jobs=jobs,
+        if executor is None:
+            scheduler = TrialScheduler(self.runner, jobs=jobs,
                                        backend=backend,
                                        tracer=self.tracer)
             session = scheduler.session()
@@ -652,11 +641,6 @@ class ObservationCampaign:
             if missing:
                 if executor is not None:
                     results = executor.run_tasks(missing, store)
-                elif session is None:
-                    results = []
-                    for task in missing:
-                        results.append(self.runner.run_task(task))
-                        store(results[-1])
                 else:
                     results = session.run_batch(missing, on_result=store)
                 delivered = dict(zip(map(trial_key, missing), results))
@@ -715,10 +699,6 @@ class ObservationCampaign:
             tracer=tracer,
             tenant=tenant,
         )
-
-    def _worker_runner(self):
-        """A fresh runner on a fresh cluster for one scheduler worker."""
-        return self.runner.clone()
 
     def performance_map(self, experiment_name=None):
         """A :class:`PerformanceMap` over this campaign's observations."""

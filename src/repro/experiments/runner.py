@@ -44,7 +44,6 @@ import math
 from dataclasses import replace
 
 from repro.deploy import DeploymentEngine
-from repro.deprecation import absorb_positional
 from repro.errors import ExperimentError, ReproError, TrialFailed
 from repro.experiments.trial import (
     COMPLETED,
@@ -115,12 +114,12 @@ class ExperimentRunner:
     """Runs experiment points end to end on one virtual cluster.
 
     Construct with keywords: ``cluster=``, ``resource_model=``,
-    ``wait_for_nodes=``, ``tracer=`` (the legacy positional form is
-    deprecated).  *wait_for_nodes* makes trials block for cluster nodes
-    instead of failing when concurrent trials hold them — the
-    shared-cluster mode of parallel scheduling.  *tracer* is threaded
-    through every layer (deployment engine, shell interpreter,
-    simulation, collector) so one trial produces one span tree.
+    ``wait_for_nodes=``, ``tracer=``.  *wait_for_nodes* makes trials
+    block for cluster nodes instead of failing when concurrent trials
+    hold them — the shared-cluster mode of parallel scheduling.
+    *tracer* is threaded through every layer (deployment engine, shell
+    interpreter, simulation, collector) so one trial produces one span
+    tree.
 
     *faults* is a :class:`~repro.faults.FaultPlan` (or a ready
     injector) whose events this runner's layers fire; *retry* is a
@@ -136,23 +135,16 @@ class ExperimentRunner:
     nothing, keeping standalone span trees exactly as before.
     """
 
-    def __init__(self, *args, cluster=None, resource_model=None,
+    def __init__(self, *, cluster=None, resource_model=None,
                  wait_for_nodes=False, tracer=None, faults=None,
                  retry=None, tenant=None):
-        merged = absorb_positional(
-            "ExperimentRunner", ("cluster", "resource_model",
-                                 "wait_for_nodes"),
-            args, {"cluster": cluster, "resource_model": resource_model,
-                   "wait_for_nodes": wait_for_nodes})
-        cluster = merged["cluster"]
-        resource_model = merged["resource_model"]
         if cluster is None or resource_model is None:
             raise ExperimentError(
                 "ExperimentRunner requires cluster= and resource_model="
             )
         self.cluster = cluster
         self.resource_model = resource_model
-        self.wait_for_nodes = merged["wait_for_nodes"]
+        self.wait_for_nodes = wait_for_nodes
         self.tenant = tenant
         self.tracer = as_tracer(tracer)
         self.faults = as_injector(faults, tracer=self.tracer)
@@ -548,25 +540,17 @@ class ExperimentRunner:
         saturation noise can be quantified (the paper's "significant
         random fluctuations" at the CPU-saturated cells).
 
-        The sweep is first enumerated into tasks, then executed: with
-        ``jobs=1`` (the default) sequentially on this runner, otherwise
-        on a :class:`TrialScheduler` pool whose workers each clone this
-        runner.  Results arrive in enumeration order either way, and
-        trial metrics are identical across ``jobs`` settings because
-        every trial's random streams derive from ``(seed + repetition)``
-        alone — tracing on or off.  *fidelity* selects the solver tier
+        The sweep is first enumerated into tasks, then executed by a
+        :class:`TrialScheduler`: with ``jobs=1`` (the default)
+        sequentially on this runner, otherwise on a pool whose workers
+        each clone this runner.  Results arrive in enumeration order
+        either way, and trial metrics are identical across ``jobs``
+        settings because every trial's random streams derive from
+        ``(seed + repetition)`` alone — tracing on or off.  *fidelity* selects the solver tier
         for every task of the sweep (``"des"`` or ``"analytic"``).
         """
         tasks = enumerate_tasks(experiment, fidelity=fidelity)
-        if jobs == 1:
-            results = []
-            for task in tasks:
-                result = self.run_task(task)
-                results.append(result)
-                if on_result is not None:
-                    on_result(result)
-            return results
-        scheduler = TrialScheduler(self.clone, jobs=jobs, backend=backend,
+        scheduler = TrialScheduler(self, jobs=jobs, backend=backend,
                                    tracer=self.tracer)
         return scheduler.run(tasks, on_result=on_result)
 

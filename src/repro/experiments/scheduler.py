@@ -5,8 +5,11 @@ across three clusters (Warp, Rohan, Emulab); this module is the
 package's form of that: every ``(topology, workload, write_ratio,
 repetition)`` point of an experiment becomes an immutable
 :class:`TrialTask`, and a :class:`TrialScheduler` executes the tasks on
-``jobs`` workers, each worker owning its own virtual cluster and runner
-so no virtual-host state ever crosses workers.
+the caller's runner (``jobs=1``) or on ``jobs`` workers, each worker
+owning a clone of that runner and its virtual cluster so no
+virtual-host state ever crosses workers.  It is the only code that
+loops over tasks: every sweep, campaign, exploration round and heal
+batch runs through it.
 
 Determinism is the contract: every trial derives its random streams
 from ``(seed + repetition)`` alone, and the scheduler delivers results
@@ -24,14 +27,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro import hotpath
-from repro.deprecation import absorb_positional
 from repro.errors import ExperimentError
 from repro.obs.tracer import as_tracer
 
@@ -116,12 +116,9 @@ def calc_parallel_jobs(node_count=None, trial_count=None):
 def default_backend():
     """Process workers where ``fork`` exists, threads otherwise.
 
-    This is a static choice: it cannot see whether the campaign's
-    results will actually survive the worker→parent pickle (a tracer or
-    fault hook configured with a lambda or a lock-bearing closure will
-    not).  The scheduler therefore treats the process backend as a
-    best-effort default and falls back to threads at run time when
-    result pickling fails — see :meth:`TrialScheduler._run_processes`.
+    Every task and result crosses the process boundary by pickle.
+    Results are plain data (spans travel as :class:`SpanRecord`\\ s), so
+    a result that cannot pickle is a bug inside the trial and raises.
     """
     if "fork" in multiprocessing.get_all_start_methods():
         return PROCESS
@@ -134,9 +131,9 @@ def default_backend():
 _WORKER_RUNNER = None
 
 
-def _process_init(runner_factory):
+def _process_init(runner):
     global _WORKER_RUNNER
-    _WORKER_RUNNER = runner_factory()
+    _WORKER_RUNNER = runner.clone()
 
 
 def _process_run(task):
@@ -144,11 +141,14 @@ def _process_run(task):
 
 
 class TrialScheduler:
-    """Executes :class:`TrialTask`\\ s on ``jobs`` pooled workers.
+    """Executes :class:`TrialTask`\\ s on a runner or a worker pool.
 
-    *runner_factory* builds one ExperimentRunner (with its own
-    VirtualCluster) per worker; with ``jobs=1`` a single runner executes
-    the tasks inline, preserving strictly sequential behaviour.
+    *runner* is the caller's ExperimentRunner.  With ``jobs=1`` every
+    batch runs inline on that runner, so its quarantine and probation
+    state and its cluster carry from trial to trial exactly as in a
+    hand-written loop; pool workers each run on ``runner.clone()``.
+    The fleet builds a scheduler without a runner: every task it
+    :meth:`~SchedulerSession.submit`\\ s names its tenant's factory.
 
     :meth:`run` returns results in task order and invokes *on_result*
     in task order from the calling thread, buffering out-of-order
@@ -160,13 +160,7 @@ class TrialScheduler:
     the workers' runners and travel on the results themselves.
     """
 
-    def __init__(self, runner_factory, *args, jobs=1, backend=None,
-                 tracer=None):
-        merged = absorb_positional(
-            "TrialScheduler", ("jobs", "backend"), args,
-            {"jobs": jobs, "backend": backend})
-        jobs = merged["jobs"]
-        backend = merged["backend"]
+    def __init__(self, runner=None, *, jobs=1, backend=None, tracer=None):
         if jobs < 1:
             raise ExperimentError(f"jobs must be at least 1, got {jobs}")
         if backend is not None and backend not in BACKENDS:
@@ -174,17 +168,14 @@ class TrialScheduler:
                 f"unknown scheduler backend {backend!r}; "
                 f"known: {', '.join(BACKENDS)}"
             )
-        self.runner_factory = runner_factory
+        self.runner = runner
         self.jobs = jobs
         self.backend = backend or default_backend()
         self.tracer = as_tracer(tracer)
 
     def run(self, tasks, on_result=None):
-        """Execute *tasks*; returns their TrialResults in task order."""
-        tasks = list(tasks)
-        if self.jobs == 1 or len(tasks) <= 1:
-            self.tracer.count("scheduler.tasks_queued", len(tasks))
-            return self._run_inline(tasks, on_result)
+        """Execute *tasks* as a one-batch session; returns their
+        TrialResults in task order."""
         with self.session() as session:
             return session.run_batch(tasks, on_result)
 
@@ -197,23 +188,6 @@ class TrialScheduler:
         a one-batch session.
         """
         return SchedulerSession(self)
-
-    # -- backends ---------------------------------------------------------
-
-    def _run_inline(self, tasks, on_result):
-        runner = self.runner_factory()
-        results = []
-        for task in tasks:
-            self.tracer.count("scheduler.tasks_running", 1)
-            try:
-                result = runner.run_task(task)
-            finally:
-                self.tracer.count("scheduler.tasks_running", -1)
-            results.append(result)
-            self.tracer.count("scheduler.tasks_done", 1)
-            if on_result is not None:
-                on_result(result)
-        return results
 
     def _drain(self, futures, on_result):
         results = []
@@ -233,7 +207,7 @@ class TrialScheduler:
 
 
 #: Session execution modes.  ``inline`` is the jobs=1 degenerate pool:
-#: one runner, reused batch after batch, on the calling thread.
+#: the caller's runner, reused batch after batch, on the calling thread.
 _INLINE = "inline"
 
 
@@ -248,17 +222,12 @@ class SchedulerSession:
     Per batch, the delivery contract is exactly :meth:`TrialScheduler.
     run`'s: results return (and *on_result* fires, on the calling
     thread) in task-submission order regardless of completion order.
-    A process-backend session whose results cannot pickle falls back to
-    the thread backend *permanently* — the remaining tasks of the
-    failing batch and every later batch run on threads, with the same
-    submission-order splice the one-shot scheduler performs.
     """
 
     def __init__(self, scheduler):
         self.scheduler = scheduler
         self._mode = _INLINE if scheduler.jobs == 1 else scheduler.backend
         self._pool = None
-        self._runner = None          # inline mode's persistent runner
         self._local = None           # thread mode's per-thread runners
         self._generations = {}       # tenant -> runner-cache generation
         self._closed = False
@@ -278,14 +247,10 @@ class SchedulerSession:
         if self._closed:
             return
         self._closed = True
-        self._teardown_pool()
-        self._runner = None
-        self._local = None
-
-    def _teardown_pool(self):
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+        self._local = None
 
     # -- batches ----------------------------------------------------------
 
@@ -305,14 +270,13 @@ class SchedulerSession:
         return self._process_batch(tasks, on_result)
 
     def _inline_batch(self, tasks, on_result):
-        if self._runner is None:
-            self._runner = self.scheduler.runner_factory()
+        runner = self.scheduler.runner
         tracer = self.scheduler.tracer
         results = []
         for task in tasks:
             tracer.count("scheduler.tasks_running", 1)
             try:
-                result = self._runner.run_task(task)
+                result = runner.run_task(task)
             finally:
                 tracer.count("scheduler.tasks_running", -1)
             results.append(result)
@@ -347,7 +311,7 @@ class SchedulerSession:
         runner = cached[1] if cached is not None \
             and cached[0] == generation else None
         if runner is None:
-            factory = runner_factory or scheduler.runner_factory
+            factory = runner_factory or scheduler.runner.clone
             runner = factory()
             runners[tenant] = (generation, runner)
         scheduler.tracer.count("scheduler.tasks_running", 1)
@@ -409,43 +373,13 @@ class SchedulerSession:
         return self.scheduler._drain(futures, on_result)
 
     def _process_batch(self, tasks, on_result):
-        # Worker state is inherited by fork (initargs never pickle), but
-        # every task and every result crosses the process boundary via
-        # pickle.  A runner configured with an unpicklable callback — a
-        # lambda tracer clock, say — only fails when its first result
-        # comes back, so catch that here and finish on the thread
-        # backend.  Results are delivered strictly in submission order,
-        # so `delivered` tells us exactly which tasks are still owed;
-        # trials are deterministic, so the splice is byte-identical to
-        # an all-thread run.
+        # Worker state is inherited by fork (initargs never pickle);
+        # every task and every result crosses the boundary by pickle.
         scheduler = self.scheduler
-        delivered = []
-
-        def deliver(result):
-            delivered.append(result)
-            if on_result is not None:
-                on_result(result)
-
-        try:
-            if self._pool is None:
-                context = multiprocessing.get_context("fork")
-                self._pool = ProcessPoolExecutor(
-                    max_workers=scheduler.jobs, mp_context=context,
-                    initializer=_process_init,
-                    initargs=(scheduler.runner_factory,))
-            futures = [self._pool.submit(_process_run, task)
-                       for task in tasks]
-            scheduler._drain(futures, deliver)
-            return delivered
-        except (TypeError, pickle.PicklingError, AttributeError) as error:
-            warnings.warn(
-                f"process backend cannot pickle trial results ({error}); "
-                f"falling back to the thread backend for the remaining "
-                f"{len(tasks) - len(delivered)} task(s)",
-                RuntimeWarning, stacklevel=3,
-            )
-            scheduler.tracer.count("scheduler.backend_fallbacks", 1)
-            self._teardown_pool()
-            self._mode = THREAD
-            rest = self._thread_batch(tasks[len(delivered):], on_result)
-            return delivered + rest
+        if self._pool is None:
+            context = multiprocessing.get_context("fork")
+            self._pool = ProcessPoolExecutor(
+                max_workers=scheduler.jobs, mp_context=context,
+                initializer=_process_init, initargs=(scheduler.runner,))
+        futures = [self._pool.submit(_process_run, task) for task in tasks]
+        return scheduler._drain(futures, on_result)

@@ -219,14 +219,6 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
             retry = dataclasses.replace(retry,
                                         quarantine_after=_NO_QUARANTINE)
 
-        def runner_factory():
-            cluster = VirtualCluster(state.spec.platform,
-                                     node_count=state.node_count)
-            return ExperimentRunner(cluster=cluster,
-                                    resource_model=state.resource_model,
-                                    tracer=tracer, faults=plan,
-                                    retry=retry)
-
         def store(result):
             database.insert(result, replace=True)
             done[trial_key(result)] = result
@@ -235,16 +227,17 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
                 on_trial(result)
 
         if missing:
-            if jobs == 1:
-                runner = runner_factory()
-                for task in missing:
-                    store(runner.run_task(task))
-            else:
-                # Thread backend explicitly: the factory closes over
-                # this heal's candidate configuration and database.
-                scheduler = TrialScheduler(runner_factory, jobs=jobs,
-                                           backend=THREAD, tracer=tracer)
-                scheduler.run(missing, on_result=store)
+            cluster = VirtualCluster(state.spec.platform,
+                                     node_count=state.node_count)
+            runner = ExperimentRunner(cluster=cluster,
+                                      resource_model=state.resource_model,
+                                      tracer=tracer, faults=plan,
+                                      retry=retry)
+            # Thread backend explicitly: a pool is built per candidate
+            # configuration, and threads are the cheaper pool to build.
+            scheduler = TrialScheduler(runner, jobs=jobs, backend=THREAD,
+                                       tracer=tracer)
+            scheduler.run(missing, on_result=store)
         return [done[trial_key(task)] for task in tasks]
 
     def shadow_tasks(name, topology, points, fidelity):

@@ -106,12 +106,11 @@ class WorkerFleet:
         # workers absorbs any tenant's exploration round.
         self.fast_jobs = max(2, min(4, jobs))
         self.tracer = as_tracer(tracer)
-        self._scheduler = TrialScheduler(_no_default_runner, jobs=jobs,
-                                         backend=THREAD, tracer=tracer)
+        self._scheduler = TrialScheduler(jobs=jobs, backend=THREAD,
+                                         tracer=tracer)
         self._session = self._scheduler.session()
         self._fast_scheduler = TrialScheduler(
-            _no_default_runner, jobs=self.fast_jobs, backend=THREAD,
-            tracer=tracer)
+            jobs=self.fast_jobs, backend=THREAD, tracer=tracer)
         self._fast_session = self._fast_scheduler.session()
         self._cond = threading.Condition()
         self._queues = {}            # campaign_id -> _TenantQueue
@@ -335,9 +334,3 @@ class WorkerFleet:
         self._dispatcher.join(timeout=5)
         self._session.close()
         self._fast_session.close()
-
-
-def _no_default_runner():
-    raise ServiceError(
-        "the fleet has no default runner; every task carries its "
-        "campaign's runner factory")

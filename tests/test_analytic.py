@@ -518,14 +518,6 @@ class TestFidelityCli:
 
 
 class TestDeprecatedKnobs:
-    def test_db_node_speed_warns(self):
-        from repro.experiments.ablations import mva_vs_observation
-
-        with pytest.warns(DeprecationWarning, match="db_node_speed"):
-            rows = mva_vs_observation(lambda users: None, [],
-                                      db_node_speed=2.0)
-        assert rows == []
-
     def test_default_call_is_warning_free(self, recwarn):
         from repro.experiments.ablations import mva_vs_observation
 

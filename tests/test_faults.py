@@ -10,7 +10,6 @@ record of the chaos never perturbs the science.
 
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -445,8 +444,7 @@ class TestDNFRecords:
 
 
 # ---------------------------------------------------------------------------
-# Satellite regressions: idempotent teardown, blocking-wait release,
-# deprecation warning attribution
+# Satellite regressions: idempotent teardown, blocking-wait release
 
 
 class TestHostIdempotency:
@@ -525,27 +523,3 @@ class TestBlockingWaitRelease:
         report = run_campaign(CAMPAIGN_TBL, faults=CHAOS_PLAN, retry=CHAOS_RETRY,
                               jobs=2, backend="thread")
         assert report.trials == 4 and report.dnf == 0
-
-
-class TestDeprecationStacklevel:
-    def test_warning_points_at_direct_caller(self):
-        cluster = VirtualCluster("emulab", node_count=8)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            DeploymentEngine(cluster)
-        (warning,) = caught
-        assert issubclass(warning.category, DeprecationWarning)
-        assert warning.filename == __file__
-
-    def test_warning_points_through_wrappers(self):
-        cluster = VirtualCluster("emulab", node_count=8)
-
-        class WrappedEngine(DeploymentEngine):
-            def __init__(self, cluster):
-                super().__init__(cluster)        # deprecated positional
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            WrappedEngine(cluster)
-        (warning,) = caught
-        assert warning.filename == __file__

@@ -83,9 +83,9 @@ class TestTaskEnumeration:
 class TestTrialScheduler:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ExperimentError):
-            TrialScheduler(lambda: None, jobs=0)
+            TrialScheduler(jobs=0)
         with pytest.raises(ExperimentError):
-            TrialScheduler(lambda: None, jobs=2, backend="carrier-pigeon")
+            TrialScheduler(jobs=2, backend="carrier-pigeon")
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_matches_sequential(self, backend):

@@ -318,43 +318,28 @@ class TestApiFacade:
 
 
 class TestDeprecatedPositionalForms:
-    def test_runner_positional_cluster_warns_but_works(self):
-        cluster = VirtualCluster("emulab", node_count=10)
-        tracer_free = make_runner("emulab", "rubis", node_count=10)
-        model = tracer_free.resource_model
-        with pytest.warns(DeprecationWarning, match="ExperimentRunner"):
-            runner = ExperimentRunner(cluster, model)
-        assert runner.cluster is cluster
-        assert runner.resource_model is model
-
-    def test_engine_positional_cluster_warns(self):
-        cluster = VirtualCluster("emulab", node_count=10)
-        with pytest.warns(DeprecationWarning, match="DeploymentEngine"):
-            engine = DeploymentEngine(cluster)
-        assert engine.cluster is cluster
-
-    def test_scheduler_positional_jobs_warns(self):
-        with pytest.warns(DeprecationWarning, match="TrialScheduler"):
-            scheduler = TrialScheduler(lambda: None, 2, "thread")
-        assert scheduler.jobs == 2
-        assert scheduler.backend == "thread"
-
-    def test_campaign_positional_mof_warns(self):
-        with pytest.warns(DeprecationWarning, match="ObservationCampaign"):
-            ObservationCampaign(SMALL_TBL, None, None, 6)
-
     def test_keyword_forms_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             cluster = VirtualCluster("emulab", node_count=10)
             DeploymentEngine(cluster=cluster)
-            TrialScheduler(lambda: None, jobs=2, backend="thread")
+            TrialScheduler(jobs=2, backend="thread")
             ObservationCampaign(SMALL_TBL, node_count=10)
 
     def test_too_many_positionals_is_a_type_error(self):
         cluster = VirtualCluster("emulab", node_count=10)
+        model = make_runner("emulab", "rubis", node_count=10).resource_model
         with pytest.raises(TypeError):
             DeploymentEngine(cluster, "extra", "args")
+        # The positional forms are gone: options are keyword-only.
+        with pytest.raises(TypeError):
+            DeploymentEngine(cluster)
+        with pytest.raises(TypeError):
+            ExperimentRunner(cluster, model)
+        with pytest.raises(TypeError):
+            TrialScheduler(None, 2, "thread")
+        with pytest.raises(TypeError):
+            ObservationCampaign(SMALL_TBL, None, None, 6)
 
 
 class TestTracingNeverBreaksErrors:
