@@ -45,6 +45,7 @@ from dataclasses import replace
 
 from repro.deploy import DeploymentEngine
 from repro.errors import ExperimentError, ReproError, TrialFailed
+from repro.experiments.health import HostHealth, merge_health
 from repro.experiments.trial import (
     COMPLETED,
     DNF,
@@ -417,6 +418,34 @@ class ExperimentRunner:
             if records:
                 exports.append(records)
             self.tracer.count("runner.hosts_released", 1)
+
+    def health(self):
+        """This runner's :class:`HostHealth`: blame counts, the
+        cluster's quarantined hosts and the probation sentences."""
+        return HostHealth(dict(self._host_failures),
+                          self.cluster.quarantined(),
+                          dict(self._probation))
+
+    def set_health(self, health):
+        """Put this runner (and its cluster) in *health*."""
+        held = self.cluster.quarantined()
+        if held != health.quarantined:
+            for host_name in held:
+                self.cluster.release_quarantine(host_name)
+            for host_name, reason in health.quarantined.items():
+                self.cluster.quarantine(host_name, reason=reason)
+        self._host_failures = dict(health.counts)
+        self._probation = dict(health.probation)
+
+    def adopt_health(self, before, after):
+        """Take on the health a trial run elsewhere left, if that trial
+        would have run the same here; returns whether it was taken."""
+        merged = merge_health(self.health(), before, after,
+                              self.retry_policy.quarantine_after)
+        if merged is None:
+            return False
+        self.set_health(merged)
+        return True
 
     def run_task(self, task):
         """Execute one enumerated :class:`TrialTask`."""

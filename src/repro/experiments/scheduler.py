@@ -136,8 +136,15 @@ def _process_init(runner):
     _WORKER_RUNNER = runner.clone()
 
 
-def _process_run(task):
-    return _WORKER_RUNNER.run_task(task)
+def _process_run(task, health):
+    return _run_from(_WORKER_RUNNER, task, health)
+
+
+def _run_from(runner, task, health):
+    """Run *task* on a worker's *runner* starting from host *health*;
+    returns the result and the health the trial left."""
+    runner.set_health(health)
+    return runner.run_task(task), runner.health()
 
 
 class TrialScheduler:
@@ -146,9 +153,14 @@ class TrialScheduler:
     *runner* is the caller's ExperimentRunner.  With ``jobs=1`` every
     batch runs inline on that runner, so its quarantine and probation
     state and its cluster carry from trial to trial exactly as in a
-    hand-written loop; pool workers each run on ``runner.clone()``.
-    The fleet builds a scheduler without a runner: every task it
-    :meth:`~SchedulerSession.submit`\\ s names its tenant's factory.
+    hand-written loop.  Pool workers each run on ``runner.clone()``,
+    starting every trial from the host health the batch started with;
+    in task order, a trial that could have run differently from the
+    caller's runner's health re-runs on that runner (see
+    :mod:`repro.experiments.health`), so quarantine decisions match
+    ``jobs=1``.  The fleet builds a scheduler without a runner: every
+    task it :meth:`~SchedulerSession.submit`\\ s names its tenant's
+    factory.
 
     :meth:`run` returns results in task order and invokes *on_result*
     in task order from the calling thread, buffering out-of-order
@@ -156,8 +168,9 @@ class TrialScheduler:
 
     A *tracer* records scheduler counters on the submitting side
     (``scheduler.tasks_queued`` / ``tasks_running`` / ``tasks_done`` /
-    ``tasks_failed``) regardless of backend; per-trial spans come from
-    the workers' runners and travel on the results themselves.
+    ``tasks_failed`` / ``tasks_rerun``) regardless of backend; per-trial
+    spans come from the workers' runners and travel on the results
+    themselves.
     """
 
     def __init__(self, runner=None, *, jobs=1, backend=None, tracer=None):
@@ -172,6 +185,14 @@ class TrialScheduler:
         self.jobs = jobs
         self.backend = backend or default_backend()
         self.tracer = as_tracer(tracer)
+
+    def _template(self):
+        """The caller's runner, which batches run on (or clone)."""
+        if self.runner is None:
+            raise ExperimentError(
+                "this scheduler has no runner: build it from one, or "
+                "submit() each task with a runner_factory")
+        return self.runner
 
     def run(self, tasks, on_result=None):
         """Execute *tasks* as a one-batch session; returns their
@@ -188,22 +209,6 @@ class TrialScheduler:
         a one-batch session.
         """
         return SchedulerSession(self)
-
-    def _drain(self, futures, on_result):
-        results = []
-        try:
-            for future in futures:
-                result = future.result()
-                results.append(result)
-                self.tracer.count("scheduler.tasks_done", 1)
-                if on_result is not None:
-                    on_result(result)
-        except BaseException:
-            self.tracer.count("scheduler.tasks_failed", 1)
-            for future in futures:
-                future.cancel()
-            raise
-        return results
 
 
 #: Session execution modes.  ``inline`` is the jobs=1 degenerate pool:
@@ -260,17 +265,26 @@ class SchedulerSession:
             raise ExperimentError(
                 "scheduler session is closed; create a new session")
         tasks = list(tasks)
+        runner = self.scheduler._template()
         self.scheduler.tracer.count("scheduler.tasks_queued", len(tasks))
         if not tasks:
             return []
-        if self._mode == _INLINE:
-            return self._inline_batch(tasks, on_result)
+        if self._mode == _INLINE or (len(tasks) == 1
+                                     and self._pool is None):
+            # A one-task batch runs inline too: starting a pool costs
+            # more than the trial.
+            return self._inline_batch(runner, tasks, on_result)
+        health = runner.health()
         if self._mode == THREAD:
-            return self._thread_batch(tasks, on_result)
-        return self._process_batch(tasks, on_result)
+            self._ensure_thread_pool()
+            run = self._thread_replay
+        else:
+            self._ensure_process_pool()
+            run = _process_run
+        futures = [self._pool.submit(run, task, health) for task in tasks]
+        return self._drain(runner, tasks, futures, health, on_result)
 
-    def _inline_batch(self, tasks, on_result):
-        runner = self.scheduler.runner
+    def _inline_batch(self, runner, tasks, on_result):
         tracer = self.scheduler.tracer
         results = []
         for task in tasks:
@@ -292,8 +306,8 @@ class SchedulerSession:
                 max_workers=self.scheduler.jobs)
         return self._pool
 
-    def _thread_run(self, task, tenant, runner_factory):
-        """Execute one task on the calling pool thread.
+    def _worker_runner(self, tenant, runner_factory):
+        """The calling pool thread's runner for *tenant*.
 
         Worker threads cache one runner *per tenant* — a shared fleet
         session multiplexes many campaigns over the same threads, and
@@ -302,7 +316,6 @@ class SchedulerSession:
         A runner built before its tenant was retired (see
         :meth:`forget_tenant`) is discarded and rebuilt.
         """
-        scheduler = self.scheduler
         runners = getattr(self._local, "runners", None)
         if runners is None:
             runners = self._local.runners = {}
@@ -311,17 +324,31 @@ class SchedulerSession:
         runner = cached[1] if cached is not None \
             and cached[0] == generation else None
         if runner is None:
-            factory = runner_factory or scheduler.runner.clone
+            factory = runner_factory or self.scheduler._template().clone
             runner = factory()
             runners[tenant] = (generation, runner)
-        scheduler.tracer.count("scheduler.tasks_running", 1)
+        return runner
+
+    def _thread_run(self, task, tenant, runner_factory):
+        """Execute one submitted task on the calling pool thread."""
+        runner = self._worker_runner(tenant, runner_factory)
+        tracer = self.scheduler.tracer
+        tracer.count("scheduler.tasks_running", 1)
         try:
-            if tenant is None:
-                return runner.run_task(task)
             with hotpath.tenant(tenant):
                 return runner.run_task(task)
         finally:
-            scheduler.tracer.count("scheduler.tasks_running", -1)
+            tracer.count("scheduler.tasks_running", -1)
+
+    def _thread_replay(self, task, health):
+        """Execute one batch task on the calling pool thread."""
+        runner = self._worker_runner(None, None)
+        tracer = self.scheduler.tracer
+        tracer.count("scheduler.tasks_running", 1)
+        try:
+            return _run_from(runner, task, health)
+        finally:
+            tracer.count("scheduler.tasks_running", -1)
 
     def submit(self, task, *, tenant=None, runner_factory=None,
                on_done=None):
@@ -344,6 +371,8 @@ class SchedulerSession:
             raise ExperimentError(
                 f"submit() requires the thread backend, not "
                 f"{self._mode!r}")
+        if runner_factory is None:
+            self.scheduler._template()   # fail here, not on a worker
         self._mode = THREAD
         self._ensure_thread_pool()
         self.scheduler.tracer.count("scheduler.tasks_queued", 1)
@@ -366,20 +395,46 @@ class SchedulerSession:
         """
         self._generations[tenant] = self._generations.get(tenant, 0) + 1
 
-    def _thread_batch(self, tasks, on_result):
-        self._ensure_thread_pool()
-        futures = [self._pool.submit(self._thread_run, task, None, None)
-                   for task in tasks]
-        return self.scheduler._drain(futures, on_result)
-
-    def _process_batch(self, tasks, on_result):
+    def _ensure_process_pool(self):
         # Worker state is inherited by fork (initargs never pickle);
         # every task and every result crosses the boundary by pickle.
-        scheduler = self.scheduler
         if self._pool is None:
             context = multiprocessing.get_context("fork")
             self._pool = ProcessPoolExecutor(
-                max_workers=scheduler.jobs, mp_context=context,
-                initializer=_process_init, initargs=(scheduler.runner,))
-        futures = [self._pool.submit(_process_run, task) for task in tasks]
-        return scheduler._drain(futures, on_result)
+                max_workers=self.scheduler.jobs, mp_context=context,
+                initializer=_process_init,
+                initargs=(self.scheduler.runner,))
+
+    def _drain(self, runner, tasks, futures, health, on_result):
+        """Deliver a pool batch in task order.
+
+        Every worker trial started from *health*, the caller's runner's
+        host health when the batch began.  At its turn, a trial stands
+        if the runner can adopt the health it left; otherwise it re-runs
+        inline on the runner, as ``jobs=1`` would have run it.  A
+        worker's error stands only if the runner's health is still
+        *health*.
+        """
+        tracer = self.scheduler.tracer
+        results = []
+        try:
+            for task, future in zip(tasks, futures):
+                try:
+                    result, after = future.result()
+                except Exception:
+                    if runner.health() == health:
+                        raise
+                    after = None
+                if after is None or not runner.adopt_health(health, after):
+                    tracer.count("scheduler.tasks_rerun", 1)
+                    result = runner.run_task(task)
+                results.append(result)
+                tracer.count("scheduler.tasks_done", 1)
+                if on_result is not None:
+                    on_result(result)
+        except BaseException:
+            tracer.count("scheduler.tasks_failed", 1)
+            for future in futures:
+                future.cancel()
+            raise
+        return results

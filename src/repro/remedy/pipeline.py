@@ -23,8 +23,9 @@ Two fidelity rules keep the verification honest and cheap:
   supported-load ladder) that feeds the scorer, and only the ranked
   winner pays for DES confirmation.
 
-Shadow runners disable quarantine (per-runner, order-dependent state)
-so jobs=1 and jobs=N shadow trials are byte-identical.
+Shadow runners disable quarantine (order-dependent state that stored,
+reused shadow trials would not replay), so a resumed heal matches an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ UNVERIFIED = "unverified"            # candidates failed DES confirmation
 BUDGET_EXHAUSTED = "budget-exhausted"
 ROUNDS_EXHAUSTED = "rounds-exhausted"
 
-#: Quarantine is per-runner, order-dependent state; shadow runners get
-#: a threshold no campaign reaches, so worker count never shows.
+#: Quarantine is order-dependent state that reused shadow trials would
+#: not replay; shadow runners get a threshold no campaign reaches.
 _NO_QUARANTINE = 10 ** 6
 
 
@@ -233,8 +234,9 @@ def heal_campaign(database, *, jobs=1, budget=None, rounds=None,
                                       resource_model=state.resource_model,
                                       tracer=tracer, faults=plan,
                                       retry=retry)
-            # Thread backend explicitly: a pool is built per candidate
-            # configuration, and threads are the cheaper pool to build.
+            # Thread backend explicitly: the daemon runs heals on its
+            # controller threads beside the fleet's trial threads, and
+            # a fork there can copy a cache lock another thread holds.
             scheduler = TrialScheduler(runner, jobs=jobs, backend=THREAD,
                                        tracer=tracer)
             scheduler.run(missing, on_result=store)

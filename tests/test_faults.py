@@ -8,6 +8,7 @@ their own ``failures`` table and fault spans in ``spans``, so the
 record of the chaos never perturbs the science.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -30,7 +31,9 @@ from repro.errors import (
     SpecError,
     TrialFailed,
 )
+from repro.experiments.health import HostHealth, merge_health
 from repro.faults import EVERY_ATTEMPT, GAVE_UP, NO_RETRY, as_policy
+from repro.provenance import table_digests
 from repro.results.database import ResultsDatabase
 from repro.results.export import from_csv, to_csv, to_json
 from repro.spec.topology import Topology
@@ -383,6 +386,93 @@ class TestProbation:
                  for span in spans]
         assert names.count("quarantine") == 1
         assert "probation-release" not in names
+
+
+# ---------------------------------------------------------------------------
+# Quarantine decisions follow enumeration order at any worker count
+
+
+#: Crashes on any pool node: blames spread over hosts and trials, so
+#: with a threshold of 2 a sequential run quarantines a host.
+SPREAD_PLAN = FaultPlan([
+    FaultSpec(kind="host-crash", target="node-*", rate=0.5),
+    FaultSpec(kind="monitor-truncate", rate=0.4),
+], seed=11)
+
+WORKER_TABLES = ("trials", "host_cpu", "state_metrics", "failures")
+
+
+class TestQuarantineAcrossWorkers:
+    @pytest.mark.parametrize("retry", [
+        RetryPolicy(max_attempts=3, quarantine_after=2),
+        RetryPolicy(max_attempts=4, quarantine_after=2,
+                    probation_trials=1),
+    ], ids=["permanent", "probation"])
+    @pytest.mark.parametrize("jobs, backend", [
+        (3, "thread"),
+        pytest.param(2, "process", marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="process backend needs fork")),
+    ])
+    def test_parallel_run_quarantines_like_sequential(self, retry, jobs,
+                                                      backend):
+        sequential = run_campaign(CAMPAIGN_TBL, faults=SPREAD_PLAN,
+                                  retry=retry)
+        assert sequential.quarantined          # the plan must bite
+        tracer = Tracer()
+        parallel = run_campaign(CAMPAIGN_TBL, faults=SPREAD_PLAN,
+                                retry=retry, jobs=jobs, backend=backend,
+                                tracer=tracer)
+        assert parallel.quarantined == sequential.quarantined
+        want = table_digests(sequential.database)
+        got = table_digests(parallel.database)
+        assert {t: got[t] for t in WORKER_TABLES} == \
+            {t: want[t] for t in WORKER_TABLES}
+        # Some worker trials ran from stale health and were re-run.
+        assert tracer.counter("scheduler.tasks_rerun") > 0
+
+
+class TestMergeHealth:
+    def test_unchanged_health_adopts_the_trial(self):
+        start = HostHealth({"node-1": 1}, {}, {})
+        after = HostHealth({"node-1": 1}, {}, {})
+        assert merge_health(start, start, after, 2) == start
+
+    def test_count_below_threshold_from_both_starts_adds(self):
+        current = HostHealth({"node-1": 1}, {}, {})
+        before = HostHealth({}, {}, {})
+        after = HostHealth({"node-1": 1}, {}, {})
+        merged = merge_health(current, before, after, 3)
+        assert merged == HostHealth({"node-1": 2}, {}, {})
+
+    def test_count_that_would_cross_the_threshold_rejects(self):
+        current = HostHealth({"node-1": 1}, {}, {})
+        before = HostHealth({}, {}, {})
+        after = HostHealth({"node-1": 1}, {}, {})
+        assert merge_health(current, before, after, 2) is None
+
+    def test_a_quarantine_from_another_count_rejects(self):
+        current = HostHealth({"node-1": 1}, {}, {})
+        before = HostHealth({}, {}, {})
+        after = HostHealth({"node-1": 2}, {"node-1": "2 failed"}, {})
+        assert merge_health(current, before, after, 2) is None
+        assert merge_health(before, before, after, 2) == after
+
+    def test_different_quarantine_or_probation_rejects(self):
+        clean = HostHealth({}, {}, {})
+        held = HostHealth({}, {"node-1": "why"}, {})
+        paroled = HostHealth({}, {"node-1": "why"}, {"node-1": 1})
+        assert merge_health(held, clean, clean, 2) is None
+        assert merge_health(paroled, held, held, 2) is None
+
+    def test_probation_release_sets_the_count(self):
+        before = HostHealth({"node-1": 2, "node-2": 1},
+                            {"node-1": "why"}, {"node-1": 1})
+        after = HostHealth({"node-1": 1, "node-2": 1}, {}, {})
+        current = HostHealth({"node-1": 2, "node-2": 0},
+                             {"node-1": "why"}, {"node-1": 1})
+        merged = merge_health(current, before, after, 2)
+        assert merged == HostHealth({"node-1": 1, "node-2": 0}, {}, {})
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import warnings
 import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, hotpath, run_campaign
+from repro.experiments.health import HostHealth
 from repro.experiments.scheduler import TrialScheduler, enumerate_tasks
 from repro.generator.mulini import Mulini
 from repro.shellvm import ShellInterpreter, parse
@@ -344,6 +345,15 @@ class TypeErrorRunner:
 
     def clone(self):
         return self
+
+    def health(self):
+        return HostHealth()
+
+    def set_health(self, health):
+        pass
+
+    def adopt_health(self, before, after):
+        return True
 
     def run_task(self, task):
         self.calls.append(task.index)

@@ -16,8 +16,11 @@ from repro.core import ObservationCampaign
 from repro.errors import AllocationError, ExperimentError, ResultsError
 from repro.experiments import build_experiment
 from repro.experiments.figures import make_runner
+from repro.experiments.health import HostHealth
+from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scheduler import TrialScheduler, enumerate_tasks
 from repro.experiments.trial import trial_key
+from repro.faults import RetryPolicy
 from repro.results import ResultsDatabase
 from repro.spec.topology import Topology
 from repro.vcluster import VirtualCluster
@@ -46,6 +49,39 @@ def _fingerprint(results):
          tuple(sorted(r.tier_of_host.items())))
         for r in results
     ]
+
+
+class StaleHealthRunner:
+    """Task 0 quarantines node-1; task 1 fails unless node-1 is held.
+
+    A pool worker runs task 1 from the batch's starting health, so it
+    fails there; the caller's runner, holding node-1 by then, does not.
+    """
+
+    adopt_health = ExperimentRunner.adopt_health
+
+    def __init__(self):
+        self.state = HostHealth()
+        self.retry_policy = RetryPolicy()
+        self.calls = []
+
+    def clone(self):
+        return StaleHealthRunner()
+
+    def health(self):
+        return self.state
+
+    def set_health(self, health):
+        self.state = health
+
+    def run_task(self, task):
+        if threading.current_thread() is threading.main_thread():
+            self.calls.append(task.index)
+        if task.index == 0:
+            self.state = HostHealth({}, {"node-1": "crashed"}, {})
+        elif "node-1" not in self.state.quarantined:
+            raise ExperimentError("ran from stale health")
+        return task.index
 
 
 class TestTaskEnumeration:
@@ -97,6 +133,34 @@ class TestTrialScheduler:
         parallel = runner.run_experiment(experiment, jobs=3,
                                          backend=backend)
         assert _fingerprint(parallel) == _fingerprint(sequential)
+
+    def test_scheduler_without_a_runner_names_what_is_missing(self):
+        scheduler = TrialScheduler(jobs=2, backend="thread")
+        tasks = enumerate_tasks(_experiment())
+        with pytest.raises(ExperimentError, match="no runner"):
+            scheduler.run(tasks)
+        with scheduler.session() as session:
+            with pytest.raises(ExperimentError, match="no runner"):
+                session.submit(tasks[0])
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_one_task_batch_runs_on_the_callers_runner(self, backend):
+        runner = make_runner("emulab", "rubis", node_count=10)
+        ran = []
+        run_task = runner.run_task
+        runner.run_task = lambda task: ran.append(task.index) or \
+            run_task(task)
+        scheduler = TrialScheduler(runner, jobs=4, backend=backend)
+        results = scheduler.run(enumerate_tasks(_experiment()))
+        assert len(results) == 1
+        assert ran == [0]              # clones would not record here
+
+    def test_worker_error_from_stale_health_reruns_here(self):
+        runner = StaleHealthRunner()
+        tasks = enumerate_tasks(_experiment(workloads=(100, 200)))
+        scheduler = TrialScheduler(runner, jobs=2, backend="thread")
+        assert scheduler.run(tasks) == [0, 1]
+        assert runner.calls == [1]     # re-run here, from node-1 held
 
     def test_on_result_delivered_in_task_order(self):
         experiment = _experiment(workloads=(250, 100, 180))
