@@ -21,14 +21,17 @@ halves:
   ``campaign_meta`` checkpoint.  A controller can hold hundreds of
   these for queued campaigns; none of them owns a cluster or a worker.
 - :class:`ObservationCampaign` — the *execution*: a cluster, a runner,
-  and the run loops.  Execution may be delegated wholesale to an
-  *executor* (anything with ``run_tasks(tasks, on_result)`` returning
-  results in task order) — the seam the ``repro serve`` daemon uses to
-  run many campaigns' trials on one shared worker fleet.
+  and the run loops.  Every batch runs on an *executor* — anything
+  with ``run_batch(tasks, on_result)`` returning results in task
+  order: by default a session of the campaign's own
+  :class:`~repro.experiments.scheduler.TrialScheduler`, or a fleet
+  lease, the seam the ``repro serve`` daemon uses to run many
+  campaigns' trials on one shared worker fleet.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import threading
@@ -368,10 +371,10 @@ class ObservationCampaign:
         ``jobs=N`` executes the whole campaign's trial tasks — across
         all selected experiments — on a worker pool; results are stored
         in enumeration order, so the resulting database rows match a
-        ``jobs=1`` run exactly.  An *executor* overrides the worker
-        plane entirely: anything with ``run_tasks(tasks, on_result)``
-        delivering results in task order (the daemon passes a fleet
-        lease here, so many campaigns share one pool).
+        ``jobs=1`` run exactly.  An *executor* replaces the campaign's
+        own scheduler session: anything with ``run_batch(tasks,
+        on_result)`` delivering results in task order (the daemon
+        passes a fleet lease here, so many campaigns share one pool).
 
         ``resume=True`` skips every task whose trial key is already in
         the database, so an interrupted campaign completes exactly its
@@ -411,13 +414,8 @@ class ObservationCampaign:
                                          on_progress=on_progress,
                                          total=len(tasks))
         try:
-            if executor is not None:
-                executor.run_tasks(tasks, store)
-            else:
-                scheduler = TrialScheduler(self.runner, jobs=jobs,
-                                           backend=backend,
-                                           tracer=self.tracer)
-                scheduler.run(tasks, on_result=store)
+            with self._executor(executor, jobs, backend) as session:
+                session.run_batch(tasks, store)
         finally:
             # The tail batch — and, on an aborted campaign, everything
             # delivered so far, so resume finds every stored trial.
@@ -496,6 +494,15 @@ class ObservationCampaign:
             return calc_parallel_jobs(node_count=self.node_count,
                                       trial_count=trial_count)
         return jobs
+
+    def _executor(self, executor, jobs, backend):
+        """What this run's batches execute on, as a context manager:
+        the given *executor* (left open — its owner closes it), else a
+        session of this campaign's own scheduler, closed on exit."""
+        if executor is not None:
+            return contextlib.nullcontext(executor)
+        return TrialScheduler(self.runner, jobs=jobs, backend=backend,
+                              tracer=self.tracer).session()
 
     def _preflight(self, jobs):
         """Fail fast on misconfigurations no trial should pay for."""
@@ -622,12 +629,6 @@ class ObservationCampaign:
                                          on_result=on_result,
                                          on_progress=on_progress,
                                          total=None)
-        session = None
-        if executor is None:
-            scheduler = TrialScheduler(self.runner, jobs=jobs,
-                                       backend=backend,
-                                       tracer=self.tracer)
-            session = scheduler.session()
 
         def execute(tasks):
             keys = [trial_key(task) for task in tasks]
@@ -639,10 +640,7 @@ class ObservationCampaign:
                 self.tracer.count("campaign.trials_skipped", skipped)
             delivered = {}
             if missing:
-                if executor is not None:
-                    results = executor.run_tasks(missing, store)
-                else:
-                    results = session.run_batch(missing, on_result=store)
+                results = session.run_batch(missing, store)
                 delivered = dict(zip(map(trial_key, missing), results))
             return [done[key] if key in done else delivered[key]
                     for key in keys]
@@ -664,12 +662,11 @@ class ObservationCampaign:
 
         planner = AdaptivePlanner(experiment, policy_obj,
                                   tracer=self.tracer)
-        try:
-            outcome = planner.run(execute, on_round=record_round)
-        finally:
-            flush_tail()
-            if session is not None:
-                session.close()
+        with self._executor(executor, jobs, backend) as session:
+            try:
+                outcome = planner.run(execute, on_round=record_round)
+            finally:
+                flush_tail()
         report.policy = policy_obj.name
         report.rounds = outcome.rounds
         report.pruned = outcome.pruned_points

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+from repro import hotpath
 from repro.deploy import DeploymentEngine
 from repro.errors import ExperimentError, ReproError, TrialFailed
 from repro.experiments.health import HostHealth, merge_health
@@ -448,11 +449,13 @@ class ExperimentRunner:
         return True
 
     def run_task(self, task):
-        """Execute one enumerated :class:`TrialTask`."""
-        return self.run_point(task.experiment, task.topology,
-                              task.workload, task.write_ratio,
-                              seed=task.seed,
-                              fidelity=task.fidelity)
+        """Execute one enumerated :class:`TrialTask`, attributing its
+        hot-path cache traffic to this runner's tenant."""
+        with hotpath.tenant(self.tenant):
+            return self.run_point(task.experiment, task.topology,
+                                  task.workload, task.write_ratio,
+                                  seed=task.seed,
+                                  fidelity=task.fidelity)
 
     # -- the analytic fast path --------------------------------------------
 

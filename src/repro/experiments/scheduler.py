@@ -9,7 +9,8 @@ the caller's runner (``jobs=1``) or on ``jobs`` workers, each worker
 owning a clone of that runner and its virtual cluster so no
 virtual-host state ever crosses workers.  It is the only code that
 loops over tasks: every sweep, campaign, exploration round and heal
-batch runs through it.
+batch runs through it, and the daemon's worker fleet delivers its
+campaigns' batches through the same :func:`drain`.
 
 Determinism is the contract: every trial derives its random streams
 from ``(seed + repetition)`` alone, and the scheduler delivers results
@@ -28,10 +29,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    CancelledError,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from dataclasses import dataclass
 
-from repro import hotpath
 from repro.errors import ExperimentError
 from repro.obs.tracer import as_tracer
 
@@ -137,14 +141,58 @@ def _process_init(runner):
 
 
 def _process_run(task, health):
-    return _run_from(_WORKER_RUNNER, task, health)
+    return run_from(_WORKER_RUNNER, task, health)
 
 
-def _run_from(runner, task, health):
+def run_from(runner, task, health):
     """Run *task* on a worker's *runner* starting from host *health*;
     returns the result and the health the trial left."""
     runner.set_health(health)
     return runner.run_task(task), runner.health()
+
+
+def drain(runner, tasks, futures, health, on_result, tracer):
+    """Deliver a batch run ahead on workers, in task order.
+
+    Each future yields ``run_from(clone, task, health)``: every worker
+    trial started from *health*, the caller's *runner*'s host health
+    when the batch began.  At its turn, a trial stands if the runner
+    can adopt the health it left; otherwise it re-runs inline on the
+    runner, as ``jobs=1`` would have run it.  A worker's error stands
+    only if the runner's health is still *health*.  Results return
+    (and *on_result*, if given, fires on the calling thread) in task
+    order; *tracer* counts ``scheduler.tasks_done`` / ``tasks_failed``
+    / ``tasks_rerun``.
+
+    On any exception the batch's remaining futures are cancelled.  A
+    future cancelled before it started raises
+    :class:`~concurrent.futures.CancelledError` here once everything
+    ahead of it has been delivered.
+    """
+    results = []
+    try:
+        for task, future in zip(tasks, futures):
+            try:
+                result, after = future.result()
+            except CancelledError:
+                raise
+            except Exception:
+                if runner.health() == health:
+                    raise
+                after = None
+            if after is None or not runner.adopt_health(health, after):
+                tracer.count("scheduler.tasks_rerun", 1)
+                result = runner.run_task(task)
+            results.append(result)
+            tracer.count("scheduler.tasks_done", 1)
+            if on_result is not None:
+                on_result(result)
+    except BaseException:
+        tracer.count("scheduler.tasks_failed", 1)
+        for future in futures:
+            future.cancel()
+        raise
+    return results
 
 
 class TrialScheduler:
@@ -157,10 +205,8 @@ class TrialScheduler:
     starting every trial from the host health the batch started with;
     in task order, a trial that could have run differently from the
     caller's runner's health re-runs on that runner (see
-    :mod:`repro.experiments.health`), so quarantine decisions match
-    ``jobs=1``.  The fleet builds a scheduler without a runner: every
-    task it :meth:`~SchedulerSession.submit`\\ s names its tenant's
-    factory.
+    :func:`drain` and :mod:`repro.experiments.health`), so quarantine
+    decisions match ``jobs=1``.
 
     :meth:`run` returns results in task order and invokes *on_result*
     in task order from the calling thread, buffering out-of-order
@@ -173,7 +219,7 @@ class TrialScheduler:
     themselves.
     """
 
-    def __init__(self, runner=None, *, jobs=1, backend=None, tracer=None):
+    def __init__(self, runner, *, jobs=1, backend=None, tracer=None):
         if jobs < 1:
             raise ExperimentError(f"jobs must be at least 1, got {jobs}")
         if backend is not None and backend not in BACKENDS:
@@ -185,14 +231,6 @@ class TrialScheduler:
         self.jobs = jobs
         self.backend = backend or default_backend()
         self.tracer = as_tracer(tracer)
-
-    def _template(self):
-        """The caller's runner, which batches run on (or clone)."""
-        if self.runner is None:
-            raise ExperimentError(
-                "this scheduler has no runner: build it from one, or "
-                "submit() each task with a runner_factory")
-        return self.runner
 
     def run(self, tasks, on_result=None):
         """Execute *tasks* as a one-batch session; returns their
@@ -233,8 +271,7 @@ class SchedulerSession:
         self.scheduler = scheduler
         self._mode = _INLINE if scheduler.jobs == 1 else scheduler.backend
         self._pool = None
-        self._local = None           # thread mode's per-thread runners
-        self._generations = {}       # tenant -> runner-cache generation
+        self._local = None           # thread mode's per-thread clones
         self._closed = False
 
     # -- lifecycle --------------------------------------------------------
@@ -265,7 +302,7 @@ class SchedulerSession:
             raise ExperimentError(
                 "scheduler session is closed; create a new session")
         tasks = list(tasks)
-        runner = self.scheduler._template()
+        runner = self.scheduler.runner
         self.scheduler.tracer.count("scheduler.tasks_queued", len(tasks))
         if not tasks:
             return []
@@ -277,12 +314,13 @@ class SchedulerSession:
         health = runner.health()
         if self._mode == THREAD:
             self._ensure_thread_pool()
-            run = self._thread_replay
+            run = self._thread_run
         else:
             self._ensure_process_pool()
             run = _process_run
         futures = [self._pool.submit(run, task, health) for task in tasks]
-        return self._drain(runner, tasks, futures, health, on_result)
+        return drain(runner, tasks, futures, health, on_result,
+                     self.scheduler.tracer)
 
     def _inline_batch(self, runner, tasks, on_result):
         tracer = self.scheduler.tracer
@@ -306,94 +344,18 @@ class SchedulerSession:
                 max_workers=self.scheduler.jobs)
         return self._pool
 
-    def _worker_runner(self, tenant, runner_factory):
-        """The calling pool thread's runner for *tenant*.
-
-        Worker threads cache one runner *per tenant* — a shared fleet
-        session multiplexes many campaigns over the same threads, and
-        each campaign's trials must run on that campaign's cluster.
-        The single-campaign path is just the ``tenant=None`` slot.
-        A runner built before its tenant was retired (see
-        :meth:`forget_tenant`) is discarded and rebuilt.
-        """
-        runners = getattr(self._local, "runners", None)
-        if runners is None:
-            runners = self._local.runners = {}
-        generation = self._generations.get(tenant, 0)
-        cached = runners.get(tenant)
-        runner = cached[1] if cached is not None \
-            and cached[0] == generation else None
+    def _thread_run(self, task, health):
+        """Execute one batch task on the calling pool thread, on the
+        clone of the caller's runner that thread keeps."""
+        runner = getattr(self._local, "runner", None)
         if runner is None:
-            factory = runner_factory or self.scheduler._template().clone
-            runner = factory()
-            runners[tenant] = (generation, runner)
-        return runner
-
-    def _thread_run(self, task, tenant, runner_factory):
-        """Execute one submitted task on the calling pool thread."""
-        runner = self._worker_runner(tenant, runner_factory)
+            runner = self._local.runner = self.scheduler.runner.clone()
         tracer = self.scheduler.tracer
         tracer.count("scheduler.tasks_running", 1)
         try:
-            with hotpath.tenant(tenant):
-                return runner.run_task(task)
+            return run_from(runner, task, health)
         finally:
             tracer.count("scheduler.tasks_running", -1)
-
-    def _thread_replay(self, task, health):
-        """Execute one batch task on the calling pool thread."""
-        runner = self._worker_runner(None, None)
-        tracer = self.scheduler.tracer
-        tracer.count("scheduler.tasks_running", 1)
-        try:
-            return _run_from(runner, task, health)
-        finally:
-            tracer.count("scheduler.tasks_running", -1)
-
-    def submit(self, task, *, tenant=None, runner_factory=None,
-               on_done=None):
-        """Submit one task asynchronously; returns its Future.
-
-        The fleet plane's entry point: unlike :meth:`run_batch`, which
-        blocks until a whole batch is delivered, ``submit`` hands a
-        single task to the live pool and returns immediately, so a
-        dispatcher can interleave tasks from many campaigns on one set
-        of workers.  *tenant* keys the worker-side runner cache (and
-        scopes hot-path cache attribution to the campaign);
-        *runner_factory* builds that tenant's runner on first use.
-        Thread workers only — the fleet owns ordering, so the process
-        backend's pickling round-trip buys nothing here.
-        """
-        if self._closed:
-            raise ExperimentError(
-                "scheduler session is closed; create a new session")
-        if self._mode not in (THREAD, _INLINE):
-            raise ExperimentError(
-                f"submit() requires the thread backend, not "
-                f"{self._mode!r}")
-        if runner_factory is None:
-            self.scheduler._template()   # fail here, not on a worker
-        self._mode = THREAD
-        self._ensure_thread_pool()
-        self.scheduler.tracer.count("scheduler.tasks_queued", 1)
-        future = self._pool.submit(self._thread_run, task, tenant,
-                                   runner_factory)
-        if on_done is not None:
-            future.add_done_callback(on_done)
-        return future
-
-    def forget_tenant(self, tenant):
-        """Retire *tenant*'s cached worker runners.
-
-        Runner caches live in each worker thread's local storage, so
-        they cannot be purged from the outside; instead the tenant's
-        generation is bumped and every thread discards its stale runner
-        (and that runner's cluster) at the next lookup.  The fleet
-        calls this when a campaign detaches, so a long-lived daemon
-        doesn't accumulate one cluster per finished campaign per
-        worker.
-        """
-        self._generations[tenant] = self._generations.get(tenant, 0) + 1
 
     def _ensure_process_pool(self):
         # Worker state is inherited by fork (initargs never pickle);
@@ -404,37 +366,3 @@ class SchedulerSession:
                 max_workers=self.scheduler.jobs, mp_context=context,
                 initializer=_process_init,
                 initargs=(self.scheduler.runner,))
-
-    def _drain(self, runner, tasks, futures, health, on_result):
-        """Deliver a pool batch in task order.
-
-        Every worker trial started from *health*, the caller's runner's
-        host health when the batch began.  At its turn, a trial stands
-        if the runner can adopt the health it left; otherwise it re-runs
-        inline on the runner, as ``jobs=1`` would have run it.  A
-        worker's error stands only if the runner's health is still
-        *health*.
-        """
-        tracer = self.scheduler.tracer
-        results = []
-        try:
-            for task, future in zip(tasks, futures):
-                try:
-                    result, after = future.result()
-                except Exception:
-                    if runner.health() == health:
-                        raise
-                    after = None
-                if after is None or not runner.adopt_health(health, after):
-                    tracer.count("scheduler.tasks_rerun", 1)
-                    result = runner.run_task(task)
-                results.append(result)
-                tracer.count("scheduler.tasks_done", 1)
-                if on_result is not None:
-                    on_result(result)
-        except BaseException:
-            tracer.count("scheduler.tasks_failed", 1)
-            for future in futures:
-                future.cancel()
-            raise
-        return results

@@ -69,8 +69,8 @@ def tenant(name):
 
     Every cache lookup inside the scope is counted against *name* (see
     :func:`stats`).  Scopes nest; the inner tenant wins.  Worker
-    threads don't inherit the scope — the fleet re-enters it around
-    every task it runs on a campaign's behalf.
+    threads don't inherit the scope — a runner enters its own tenant's
+    scope around every task it runs, on whichever thread runs it.
     """
     previous = getattr(_scope, "tenant", None)
     _scope.tenant = name

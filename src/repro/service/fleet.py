@@ -1,9 +1,9 @@
 """The shared worker fleet: one pool, many campaigns, fair shares.
 
-A :class:`WorkerFleet` owns one persistent
-:class:`~repro.experiments.scheduler.SchedulerSession` of thread
-workers and multiplexes every attached campaign's trial tasks over it.
-The dispatcher enforces the service plane's scheduling invariants:
+A :class:`WorkerFleet` owns two thread pools — the main lane and the
+analytic fast lane — and decides only *admission*: which queued trial
+of which attached campaign runs next.  The dispatcher enforces the
+service plane's scheduling invariants:
 
 - **round-robin fair share** — each dispatch sweep admits at most one
   task per campaign, walking campaigns in attach order, so a campaign
@@ -17,75 +17,79 @@ The dispatcher enforces the service plane's scheduling invariants:
   analytic sweeps never queue behind seconds-scale DES simulations
   from other tenants (or their own campaign's confirmation trials).
 
-Determinism is inherited, not scheduled-for: trials are pure functions
-of their task, and each campaign's results are delivered to its store
-in task-submission order (out-of-order completions buffer), so a
-campaign's shard rows are byte-identical no matter how its tasks
-interleave with other tenants on the pool.
+Delivery is the scheduler's: a campaign's :class:`FleetLease` queues
+its batch as ``(task, Future)`` pairs and drains them in task order on
+the campaign's own thread with :func:`repro.experiments.scheduler.
+drain` — the code that delivers a ``repro run --jobs N`` batch, host
+health replay included.  Workers run each trial on a clone of the
+campaign's runner from the health the batch began with, so a
+campaign's shard rows are byte-identical to a sequential run's no
+matter how its tasks interleave with other tenants, fault plans that
+quarantine hosts included.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 
 from repro.errors import CampaignCancelled, ServiceError
-from repro.experiments.scheduler import THREAD, TrialScheduler
+from repro.experiments.scheduler import drain, run_from
 from repro.obs.tracer import as_tracer
 from repro.sim import ANALYTIC, DES
 
 
 class _TenantQueue:
-    """One campaign's seat on the fleet: queue, ceiling, ordering."""
+    """One campaign's seat on the fleet: runner, queue, ceiling."""
 
-    def __init__(self, campaign_id, runner_factory, ceiling):
-        self.campaign_id = campaign_id
-        self.runner_factory = runner_factory
+    def __init__(self, runner, ceiling):
+        self.runner = runner
         self.ceiling = max(1, ceiling)
-        self.pending = deque()       # (seq, task) not yet admitted
+        self.pending = deque()       # (task, future, health) not admitted
         self.in_flight = 0           # admitted, not yet completed
-        self.next_seq = 0            # submission counter
-        self.next_deliver = 0        # the seq the store gets next
-        self.buffered = {}           # seq -> result (completed early)
+        self.free = []               # idle clones of runner, <= ceiling
         self.cancelled = False
-        self.batch = None            # the active _Batch, if any
 
     def admissible(self):
         return (not self.cancelled and self.pending
                 and self.in_flight < self.ceiling)
 
-
-class _Batch:
-    """One ``run_tasks`` call in flight: what's owed and to whom."""
-
-    def __init__(self, expected, on_result):
-        self.expected = expected
-        self.on_result = on_result
-        self.results = []
-        self.error = None
-
-    def settled(self):
-        return self.error is not None or len(self.results) >= self.expected
+    def cancel(self):
+        """Drop the queued tasks, cancelling their futures."""
+        self.cancelled = True
+        for _task, future, _health in self.pending:
+            future.cancel()
+        self.pending.clear()
 
 
 class FleetLease:
     """A campaign's handle on the fleet — its executor.
 
-    Satisfies the :meth:`ObservationCampaign.run` executor protocol:
-    ``run_tasks(tasks, on_result)`` blocks until every task is
-    delivered (in task order) and returns the results.  ``cancel()``
-    drops the campaign's queued tasks and makes the blocked
-    ``run_tasks`` raise :class:`CampaignCancelled` once in-flight work
-    drains; ``close()`` detaches the campaign and retires its worker
-    runners.
+    ``run_batch(tasks, on_result)`` is the
+    :class:`~repro.experiments.scheduler.SchedulerSession` protocol:
+    it blocks until every task is delivered, in task order, and returns
+    the results.  ``cancel()`` drops the campaign's queued tasks and
+    makes the blocked ``run_batch`` raise :class:`CampaignCancelled`
+    once the in-flight prefix is delivered; ``close()`` detaches the
+    campaign and drops its runner clones.
     """
 
-    def __init__(self, fleet, campaign_id):
+    def __init__(self, fleet, campaign_id, runner):
         self.fleet = fleet
         self.campaign_id = campaign_id
+        self.runner = runner
 
-    def run_tasks(self, tasks, on_result=None):
-        return self.fleet.run_tasks(self.campaign_id, tasks, on_result)
+    def run_batch(self, tasks, on_result=None):
+        tasks = list(tasks)
+        health = self.runner.health()
+        futures = self.fleet._enqueue(self.campaign_id, tasks, health)
+        try:
+            return drain(self.runner, tasks, futures, health, on_result,
+                         self.fleet.tracer)
+        except CancelledError:
+            raise CampaignCancelled(
+                f"campaign {self.campaign_id!r} was cancelled") from None
 
     def cancel(self):
         self.fleet.cancel(self.campaign_id)
@@ -106,12 +110,8 @@ class WorkerFleet:
         # workers absorbs any tenant's exploration round.
         self.fast_jobs = max(2, min(4, jobs))
         self.tracer = as_tracer(tracer)
-        self._scheduler = TrialScheduler(jobs=jobs, backend=THREAD,
-                                         tracer=tracer)
-        self._session = self._scheduler.session()
-        self._fast_scheduler = TrialScheduler(
-            jobs=self.fast_jobs, backend=THREAD, tracer=tracer)
-        self._fast_session = self._fast_scheduler.session()
+        self._pool = ThreadPoolExecutor(max_workers=jobs)
+        self._fast_pool = ThreadPoolExecutor(max_workers=self.fast_jobs)
         self._cond = threading.Condition()
         self._queues = {}            # campaign_id -> _TenantQueue
         self._in_flight = 0          # main-lane admitted tasks
@@ -125,13 +125,14 @@ class WorkerFleet:
 
     # -- campaign lifecycle ------------------------------------------------
 
-    def attach(self, campaign_id, runner_factory, *, ceiling=1):
+    def attach(self, campaign_id, runner, *, ceiling=1):
         """Give *campaign_id* a seat on the fleet; returns its lease.
 
-        *runner_factory* builds the campaign's per-worker runner (each
-        worker thread keeps one per tenant); *ceiling* is the
-        campaign's ``jobs`` cap — how many fleet workers it may hold at
-        once, regardless of how idle the fleet is.
+        Workers run the campaign's trials on clones of *runner* (at
+        most *ceiling* of them, kept until the campaign detaches);
+        *ceiling* is the campaign's ``jobs`` cap — how many fleet
+        workers it may hold at once, regardless of how idle the fleet
+        is.
         """
         with self._cond:
             if self._closed:
@@ -139,41 +140,32 @@ class WorkerFleet:
             if campaign_id in self._queues:
                 raise ServiceError(
                     f"campaign {campaign_id!r} is already attached")
-            self._queues[campaign_id] = _TenantQueue(
-                campaign_id, runner_factory, ceiling)
-        return FleetLease(self, campaign_id)
+            self._queues[campaign_id] = _TenantQueue(runner, ceiling)
+        return FleetLease(self, campaign_id, runner)
 
     def detach(self, campaign_id):
-        """Remove the campaign's seat and retire its worker runners."""
+        """Remove the campaign's seat and drop its runner clones."""
         with self._cond:
             queue = self._queues.pop(campaign_id, None)
-        if queue is not None:
-            self._session.forget_tenant(campaign_id)
-            self._fast_session.forget_tenant(campaign_id)
+            if queue is not None:
+                queue.cancel()
+                queue.free.clear()
 
     def cancel(self, campaign_id):
         """Drop the campaign's queued tasks; in-flight trials finish
-        (and are delivered), then its blocked ``run_tasks`` raises
+        (and are delivered), then its blocked ``run_batch`` raises
         :class:`CampaignCancelled`."""
         with self._cond:
             queue = self._queues.get(campaign_id)
-            if queue is None:
-                return
-            queue.cancelled = True
-            queue.pending.clear()
-            self._cond.notify_all()
+            if queue is not None:
+                queue.cancel()
 
     # -- execution ---------------------------------------------------------
 
-    def run_tasks(self, campaign_id, tasks, on_result=None):
-        """Execute *tasks* for *campaign_id*; blocks until delivered.
-
-        Results return (and *on_result* fires) in task-submission
-        order.  One batch per campaign at a time — campaigns drive
-        their batches sequentially (a fixed grid is one batch, an
-        adaptive exploration one batch per planner round).
-        """
-        tasks = list(tasks)
+    def _enqueue(self, campaign_id, tasks, health):
+        """Queue *tasks*, each to start from *health*; returns their
+        futures in task order."""
+        futures = [Future() for _ in tasks]
         with self._cond:
             queue = self._queues.get(campaign_id)
             if queue is None:
@@ -182,28 +174,10 @@ class WorkerFleet:
             if queue.cancelled:
                 raise CampaignCancelled(
                     f"campaign {campaign_id!r} was cancelled")
-            if queue.batch is not None and not queue.batch.settled():
-                raise ServiceError(
-                    f"campaign {campaign_id!r} already has a batch in "
-                    f"flight")
-            batch = _Batch(len(tasks), on_result)
-            queue.batch = batch
-            for task in tasks:
-                queue.pending.append((queue.next_seq, task))
-                queue.next_seq += 1
+            queue.pending.extend((task, future, health)
+                                 for task, future in zip(tasks, futures))
             self._cond.notify_all()
-            while not batch.settled():
-                if queue.cancelled and queue.in_flight == 0 \
-                        and not queue.pending:
-                    raise CampaignCancelled(
-                        f"campaign {campaign_id!r} cancelled with "
-                        f"{batch.expected - len(batch.results)} trial(s) "
-                        f"undelivered")
-                self._cond.wait()
-            queue.batch = None
-            if batch.error is not None:
-                raise batch.error
-            return batch.results
+        return futures
 
     def _dispatch_loop(self):
         """Round-robin admission: at most one task per campaign per
@@ -212,29 +186,30 @@ class WorkerFleet:
             with self._cond:
                 if self._closed:
                     return
-                admitted = self._admit_locked()
-                if not admitted:
+                if not self._admit_locked():
                     # Nothing admissible: wait for a completion, a new
                     # batch, a cancel, or shutdown.  The timeout is a
                     # liveness backstop, not a scheduling quantum.
                     self._cond.wait(timeout=0.5)
 
     def _admit_locked(self):
-        """One full round-robin sweep; returns how many were admitted.
+        """One full round-robin sweep; returns how many queued tasks
+        left their queues (admitted, or skipped as cancelled).
 
         Each queue's *head* task picks its lane: analytic trials go to
         the fast pool, everything else to the main pool.  A lane at
         capacity skips the queue for this sweep (the task waits for its
         own lane rather than crossing over and queueing behind the
-        other tier's work)."""
-        admitted = 0
+        other tier's work).  A head whose future a failed drain
+        cancelled is dropped unrun."""
+        admitted = skipped = 0
         for queue in list(self._queues.values()):
             if self._in_flight >= self.jobs \
                     and self._fast_in_flight >= self.fast_jobs:
                 break
             if not queue.admissible():
                 continue
-            seq, task = queue.pending[0]
+            task, future, health = queue.pending[0]
             fast = getattr(task, "fidelity", DES) == ANALYTIC
             if fast:
                 if self._fast_in_flight >= self.fast_jobs:
@@ -242,6 +217,9 @@ class WorkerFleet:
             elif self._in_flight >= self.jobs:
                 continue
             queue.pending.popleft()
+            if not future.set_running_or_notify_cancel():
+                skipped += 1
+                continue
             queue.in_flight += 1
             if fast:
                 self._fast_in_flight += 1
@@ -249,50 +227,43 @@ class WorkerFleet:
                 self._in_flight += 1
             self._dispatched += 1
             admitted += 1
-            session = self._fast_session if fast else self._session
-            session.submit(
-                task, tenant=queue.campaign_id,
-                runner_factory=queue.runner_factory,
-                on_done=lambda future, q=queue, s=seq, f=fast:
-                    self._task_done(q, s, future, fast=f))
+            pool = self._fast_pool if fast else self._pool
+            pool.submit(self._run, queue, task, future, health, fast)
         if admitted:
             self.tracer.count("fleet.tasks_admitted", admitted)
-        return admitted
+        return admitted + skipped
 
-    def _task_done(self, queue, seq, future, fast=False):
-        """Completion callback (worker thread): deliver in seq order.
-
-        The store callback runs under the fleet lock — it must not
-        call back into the fleet.  The campaign ingest closures only
-        touch their own shard database, which is exactly the contract.
-        """
+    def _run(self, queue, task, future, health, fast):
+        """One admitted trial, on a pool thread: a free clone of the
+        campaign's runner (a new one while fewer than the ceiling
+        exist) runs *task* from *health*; the outcome settles
+        *future* for the campaign's drain."""
+        clone = outcome = error = None
+        try:
+            with self._cond:
+                if queue.free:
+                    clone = queue.free.pop()
+            if clone is None:
+                clone = queue.runner.clone()
+            outcome = run_from(clone, task, health)
+        except BaseException as caught:  # noqa: BLE001 — the drain
+            error = caught               # raises it or re-runs the task
         with self._cond:
             queue.in_flight -= 1
             if fast:
                 self._fast_in_flight -= 1
             else:
                 self._in_flight -= 1
-            batch = queue.batch
-            error = future.exception()
-            if error is not None:
-                # An undeliverable trial (no retry policy absorbing the
-                # failure) aborts the campaign's batch; its queued
-                # tasks are dropped so the fleet moves on.
-                queue.pending.clear()
-                if batch is not None and batch.error is None:
-                    batch.error = error
-                self.tracer.count("fleet.tasks_failed", 1)
-            else:
-                queue.buffered[seq] = future.result()
-                while queue.next_deliver in queue.buffered:
-                    result = queue.buffered.pop(queue.next_deliver)
-                    queue.next_deliver += 1
-                    if batch is not None:
-                        batch.results.append(result)
-                        if batch.on_result is not None:
-                            batch.on_result(result)
-                self.tracer.count("fleet.tasks_done", 1)
+            if clone is not None and not queue.cancelled:
+                queue.free.append(clone)
             self._cond.notify_all()
+        # Only the free list may hold the clone once the campaign sees
+        # its result, so a detach right after the drain drops it.
+        del clone
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(outcome)
 
     # -- observability and lifecycle ---------------------------------------
 
@@ -322,15 +293,14 @@ class WorkerFleet:
             return self._in_flight >= self.jobs
 
     def close(self):
-        """Stop the dispatcher and shut the worker pool down."""
+        """Stop the dispatcher and shut the worker pools down."""
         with self._cond:
             if self._closed:
                 return
             self._closed = True
             for queue in self._queues.values():
-                queue.cancelled = True
-                queue.pending.clear()
+                queue.cancel()
             self._cond.notify_all()
         self._dispatcher.join(timeout=5)
-        self._session.close()
-        self._fast_session.close()
+        self._pool.shutdown(wait=True)
+        self._fast_pool.shutdown(wait=True)

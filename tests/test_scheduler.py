@@ -119,9 +119,10 @@ class TestTaskEnumeration:
 class TestTrialScheduler:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ExperimentError):
-            TrialScheduler(jobs=0)
+            TrialScheduler(StaleHealthRunner(), jobs=0)
         with pytest.raises(ExperimentError):
-            TrialScheduler(jobs=2, backend="carrier-pigeon")
+            TrialScheduler(StaleHealthRunner(), jobs=2,
+                           backend="carrier-pigeon")
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_matches_sequential(self, backend):
@@ -133,15 +134,6 @@ class TestTrialScheduler:
         parallel = runner.run_experiment(experiment, jobs=3,
                                          backend=backend)
         assert _fingerprint(parallel) == _fingerprint(sequential)
-
-    def test_scheduler_without_a_runner_names_what_is_missing(self):
-        scheduler = TrialScheduler(jobs=2, backend="thread")
-        tasks = enumerate_tasks(_experiment())
-        with pytest.raises(ExperimentError, match="no runner"):
-            scheduler.run(tasks)
-        with scheduler.session() as session:
-            with pytest.raises(ExperimentError, match="no runner"):
-                session.submit(tasks[0])
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_one_task_batch_runs_on_the_callers_runner(self, backend):

@@ -8,14 +8,20 @@ count, after cancel + resume, and after killing the daemon and
 resuming both campaigns on a fresh one.
 """
 
+import gc
 import os
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro import api
 from repro.errors import CampaignCancelled, ServiceBusy, ServiceError
+from repro.experiments.health import HostHealth
+from repro.experiments.runner import ExperimentRunner
+from repro.faults import QUARANTINED, RetryPolicy
+from repro.provenance import table_digests
 from repro.results.database import ResultsDatabase, merge_shards, shard_path
 from repro.service import (
     CampaignClient,
@@ -84,12 +90,25 @@ class GatedRunner:
     """A fake trial runner whose tasks block until released, recording
     per-tenant concurrency highs along the way."""
 
+    adopt_health = ExperimentRunner.adopt_health
+
     def __init__(self, gate=None, observed=None, tenant=None):
         self.gate = gate
         self.observed = observed
         self.tenant = tenant
         self._lock = threading.Lock()
         self._running = 0
+        self.state = HostHealth()
+        self.retry_policy = RetryPolicy()
+
+    def clone(self):
+        return GatedRunner(self.gate, self.observed, self.tenant)
+
+    def health(self):
+        return self.state
+
+    def set_health(self, health):
+        self.state = health
 
     def run_task(self, task):
         if self.observed is not None:
@@ -113,14 +132,12 @@ class TestWorkerFleet:
     def test_delivery_in_task_order_across_tenants(self):
         fleet = WorkerFleet(jobs=3)
         try:
-            lease_a = fleet.attach("a", lambda: GatedRunner(tenant="a"),
-                                   ceiling=2)
-            lease_b = fleet.attach("b", lambda: GatedRunner(tenant="b"),
-                                   ceiling=2)
+            lease_a = fleet.attach("a", GatedRunner(tenant="a"), ceiling=2)
+            lease_b = fleet.attach("b", GatedRunner(tenant="b"), ceiling=2)
             out = {}
 
             def run(name, lease, tasks):
-                out[name] = lease.run_tasks(tasks)
+                out[name] = lease.run_batch(tasks)
 
             threads = [
                 threading.Thread(target=run,
@@ -147,13 +164,12 @@ class TestWorkerFleet:
         try:
             lease = fleet.attach(
                 "capped",
-                lambda: GatedRunner(gate=gate, observed=observed,
-                                    tenant="capped"),
+                GatedRunner(gate=gate, observed=observed, tenant="capped"),
                 ceiling=2)
             done = []
             worker = threading.Thread(
                 target=lambda: done.append(
-                    lease.run_tasks(list(range(6)))))
+                    lease.run_batch(list(range(6)))))
             worker.start()
             deadline = time.time() + 10
             while time.time() < deadline:
@@ -176,7 +192,7 @@ class TestWorkerFleet:
         fleet = WorkerFleet(jobs=1)
         try:
             lease = fleet.attach(
-                "doomed", lambda: GatedRunner(gate=gate, tenant="doomed"),
+                "doomed", GatedRunner(gate=gate, tenant="doomed"),
                 ceiling=1)
             caught = []
             delivered = []
@@ -195,7 +211,7 @@ class TestWorkerFleet:
                 list(range(len(delivered)))
             assert len(delivered) < 8
             with pytest.raises(CampaignCancelled):
-                lease.run_tasks([99])
+                lease.run_batch([99])
         finally:
             gate.set()
             fleet.close()
@@ -203,33 +219,36 @@ class TestWorkerFleet:
     def test_detached_campaign_is_rejected(self):
         fleet = WorkerFleet(jobs=1)
         try:
-            lease = fleet.attach("gone", lambda: GatedRunner(tenant="g"))
+            lease = fleet.attach("gone", GatedRunner(tenant="g"))
             lease.close()
             with pytest.raises(ServiceError, match="not attached"):
-                lease.run_tasks([1])
+                lease.run_batch([1])
             with pytest.raises(ServiceError, match="already attached"):
-                fleet.attach("other", lambda: None)
-                fleet.attach("other", lambda: None)
+                fleet.attach("other", GatedRunner(tenant="o"))
+                fleet.attach("other", GatedRunner(tenant="o"))
         finally:
             fleet.close()
 
     def test_worker_error_fails_the_batch(self):
-        class ExplodingRunner:
+        class ExplodingRunner(GatedRunner):
+            def clone(self):
+                return ExplodingRunner()
+
             def run_task(self, task):
                 raise ServiceError(f"task {task} exploded")
 
         fleet = WorkerFleet(jobs=2)
         try:
-            lease = fleet.attach("boom", ExplodingRunner)
+            lease = fleet.attach("boom", ExplodingRunner())
             with pytest.raises(ServiceError, match="exploded"):
-                lease.run_tasks([1, 2, 3])
+                lease.run_batch([1, 2, 3])
         finally:
             fleet.close()
 
 
 def _run_catching(lease, tasks, on_result):
     try:
-        return lease.run_tasks(tasks, on_result)
+        return lease.run_batch(tasks, on_result)
     except Exception as error:          # noqa: BLE001 — relayed to asserts
         return error
 
@@ -373,6 +392,75 @@ class TestCampaignController:
         assert rec_b["state"] == "done", rec_b["error"]
         assert full_dump(db_a) == sequential_dumps["a"]
         assert full_dump(db_b) == sequential_dumps["b"]
+
+    def test_quarantining_fault_plan_matches_a_sequential_run(
+            self, tmp_path):
+        from tests.test_faults import CAMPAIGN_TBL, SPREAD_PLAN, \
+            WORKER_TABLES
+
+        retry = RetryPolicy(max_attempts=3, quarantine_after=2)
+        sequential = api.run_campaign(CAMPAIGN_TBL, faults=SPREAD_PLAN,
+                                      retry=retry, jobs=1)
+        assert sequential.quarantined          # the plan must bite
+        want = table_digests(sequential.database)
+        db = str(tmp_path / "daemon.db")
+        controller = CampaignController(jobs=3)
+        delivered = []
+        tap = controller.aggregator.observe
+        controller.aggregator.observe = \
+            lambda cid, res: (tap(cid, res), delivered.append(res))
+        try:
+            campaign_id = controller.submit(CAMPAIGN_TBL, db_path=db,
+                                            jobs=3, faults=SPREAD_PLAN,
+                                            retry=retry)
+            record = wait_done(controller, campaign_id)
+        finally:
+            controller.shutdown()
+        assert record["state"] == "done", record["error"]
+        quarantined = {failure.host: failure.cause
+                       for result in delivered
+                       for failure in result.failures
+                       if failure.resolution == QUARANTINED}
+        assert quarantined == sequential.quarantined
+        database = ResultsDatabase(db)
+        try:
+            got = table_digests(database)
+        finally:
+            database.close()
+        assert {t: got[t] for t in WORKER_TABLES} == \
+            {t: want[t] for t in WORKER_TABLES}
+
+    def test_finished_campaigns_release_their_runner_clones(
+            self, tmp_path, monkeypatch):
+        clones = []
+        clone = ExperimentRunner.clone
+
+        def tracked_clone(runner):
+            copy = clone(runner)
+            clones.append(weakref.ref(copy))
+            return copy
+
+        monkeypatch.setattr(ExperimentRunner, "clone", tracked_clone)
+        controller = CampaignController(jobs=2)
+        try:
+            for n in range(3):
+                campaign_id = controller.submit(
+                    TBL_A, db_path=str(tmp_path / f"{n}.db"), jobs=2)
+                assert wait_done(controller, campaign_id)["state"] == "done"
+            assert clones
+            # The fleet stays up; a detached campaign's clones must not
+            # outlive the campaign (its thread detaches right after
+            # settling, so allow it a moment).
+            deadline = time.time() + 10
+            while time.time() < deadline:
+                gc.collect()
+                alive = [ref for ref in clones if ref() is not None]
+                if not alive:
+                    break
+                time.sleep(0.05)
+            assert alive == []
+        finally:
+            controller.shutdown()
 
     def test_backpressure_rejects_past_max_active(self, tmp_path):
         controller = CampaignController(jobs=1, max_active=1)

@@ -323,7 +323,8 @@ class TestDeprecatedPositionalForms:
             warnings.simplefilter("error", DeprecationWarning)
             cluster = VirtualCluster("emulab", node_count=10)
             DeploymentEngine(cluster=cluster)
-            TrialScheduler(jobs=2, backend="thread")
+            TrialScheduler(make_runner("emulab", "rubis", node_count=10),
+                           jobs=2, backend="thread")
             ObservationCampaign(SMALL_TBL, node_count=10)
 
     def test_too_many_positionals_is_a_type_error(self):
