@@ -13,7 +13,12 @@ drives one path that stores or reuses trials by their identity key:
 * ``scenario-flash-crowd`` — one scenario-matrix row (scenario identity,
   open-loop backlog);
 * ``figure-table6`` and ``figure5-analytic`` — a shrunken paper figure on
-  each fidelity tier, through ``ExperimentRunner.run_experiment``.
+  each fidelity tier, through ``ExperimentRunner.run_experiment``;
+* ``suite-analytic`` — every paper figure and table reproduced on the
+  analytic tier into one database.
+
+The figure campaigns also record a sha256 of each figure's rendered
+text, so the figure declarations are pinned down to their output.
 
 The schema of a fresh database is recorded too, and databases from the
 pre-fidelity and pre-scenario eras must migrate to exactly that shape.
@@ -23,6 +28,7 @@ re-record them from the repository root with
 ``PYTHONPATH=src python -m tests.test_golden``.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -123,12 +129,19 @@ def scenario_flash_crowd(database):
 
 
 def figure_table6(database):
-    reproduce_figure("table6", scale=0.05, database=database)
+    return [reproduce_figure("table6", scale=0.05, database=database)]
 
 
 def figure5_analytic(database):
-    reproduce_figure("figure5", scale=0.05, fidelity="analytic",
-                     database=database)
+    return [reproduce_figure("figure5", scale=0.05, fidelity="analytic",
+                             database=database)]
+
+
+def suite_analytic(database):
+    from repro.experiments.papersuite import reproduce_all
+
+    return list(reproduce_all(database=database,
+                              fidelity="analytic").values())
 
 
 CAMPAIGNS = {
@@ -138,15 +151,22 @@ CAMPAIGNS = {
     "scenario-flash-crowd": scenario_flash_crowd,
     "figure-table6": figure_table6,
     "figure5-analytic": figure5_analytic,
+    "suite-analytic": suite_analytic,
 }
 
 
 def campaign_digests(name):
     database = ResultsDatabase()
     try:
-        CAMPAIGNS[name](database)
+        figures = CAMPAIGNS[name](database)
         assert database.integrity_check() == []
-        return table_digests(database)
+        digests = table_digests(database)
+        if figures:
+            digests["rendered"] = {
+                figure.figure_id:
+                    hashlib.sha256(figure.rendered.encode()).hexdigest()
+                for figure in figures}
+        return digests
     finally:
         database.close()
 
