@@ -4,10 +4,10 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Each bench regenerates one of the paper's figures or tables end to end
-(generation -> deployment -> simulated trial -> collection -> analysis)
-and writes its rendering to ``benchmarks/output/<id>.txt`` so the rows/
-series can be compared against the paper (see EXPERIMENTS.md).
+``test_bench_figures.py`` regenerates the paper's figures and tables end
+to end (generation -> deployment -> simulated trial -> collection ->
+analysis) and writes each rendering to ``benchmarks/output/<id>.txt`` so
+the rows/series can be compared against the paper (see EXPERIMENTS.md).
 """
 
 import pathlib

@@ -14,7 +14,7 @@ import os
 import pathlib
 import time
 
-from repro.experiments.figures import figure5
+from repro.experiments.figures import reproduce
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -39,11 +39,11 @@ def test_bench_parallel_campaign():
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "4"))
 
     start = time.perf_counter()
-    sequential = figure5()
+    sequential = reproduce("figure5")
     sequential_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = figure5(jobs=jobs)
+    parallel = reproduce("figure5", jobs=jobs)
     parallel_s = time.perf_counter() - start
 
     speedup = sequential_s / parallel_s if parallel_s else float("inf")

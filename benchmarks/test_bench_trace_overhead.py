@@ -13,7 +13,7 @@ runners jitter); the measured number is what the report tracks.
 import pathlib
 import time
 
-from repro.experiments.figures import figure5
+from repro.experiments.figures import reproduce
 from repro.obs import Tracer
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
@@ -33,12 +33,12 @@ def _fingerprint(results):
 
 def test_bench_trace_overhead():
     start = time.perf_counter()
-    plain = figure5(**SWEEP)
+    plain = reproduce("figure5", **SWEEP)
     plain_s = time.perf_counter() - start
 
     tracer = Tracer()
     start = time.perf_counter()
-    traced = figure5(tracer=tracer, **SWEEP)
+    traced = reproduce("figure5", tracer=tracer, **SWEEP)
     traced_s = time.perf_counter() - start
 
     overhead = (traced_s - plain_s) / plain_s if plain_s else 0.0

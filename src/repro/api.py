@@ -12,7 +12,8 @@ its signatures are the package's compatibility surface:
   or adaptive) from its database checkpoint.
 - :func:`heal_campaign` — closed-loop auto-remediation of a diagnosed
   campaign (detect -> propose -> verify -> apply, ``repro heal``).
-- :func:`reproduce_figure` — regenerate one paper figure/table.
+- :func:`reproduce_figure` / :func:`reproduce_all` — regenerate one
+  paper figure/table, or every one of them.
 - :func:`list_scenarios` / :func:`run_scenario` — the declarative
   scenario matrix: consolidation x arrival pattern x expected ranges
   (``repro scenarios list|run``).
@@ -254,29 +255,58 @@ def reproduce_figure(figure_id, *, scale=None, jobs=1, tracer=None,
                      database=None, output_dir=None, fidelity=DES):
     """Regenerate one paper figure/table by id (``figure1``..``table7``).
 
-    Returns the :class:`FigureResult`; *database* (ResultsDatabase or
-    path) additionally stores the underlying trials — with a *tracer*,
-    their lifecycle spans land in its ``spans`` table; *output_dir*
-    writes ``<id>.txt``.  ``fidelity="analytic"`` reproduces the
-    figure's sweep on the fluid fast path instead of DES.
+    Returns the :class:`FigureResult`; the arguments are those of
+    :func:`reproduce_all`.  With a *tracer*, the trials' lifecycle spans
+    land in *database*'s ``spans`` table; ``fidelity="analytic"``
+    reproduces the figure's sweep on the fluid fast path instead of DES.
     """
-    from repro.experiments.papersuite import reproduce
+    return reproduce_all(only=(figure_id,), scale=scale, jobs=jobs,
+                         tracer=tracer, database=database,
+                         output_dir=output_dir, fidelity=fidelity)[figure_id]
 
-    check_fidelity(fidelity)
-    if fidelity == AUTO:
-        raise ExperimentError(
-            "fidelity 'auto' is an adaptive-exploration mode; a figure "
-            "reproduction takes 'des' or 'analytic'")
-    figure = reproduce(figure_id, scale=scale, jobs=jobs, tracer=tracer,
-                       fidelity=fidelity)
-    if database is not None and figure.results:
-        figure.store(_as_database(database, create=True))
-    if output_dir is not None:
-        out = pathlib.Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"{figure.figure_id}.txt").write_text(
-            figure.rendered + "\n")
-    return figure
+
+def reproduce_all(*, only=None, scale=None, jobs=1, tracer=None,
+                  database=None, output_dir=None, fidelity=DES,
+                  on_progress=None):
+    """Regenerate the paper's figures and tables, in suite order.
+
+    Returns ``{figure_id: FigureResult}``.  *only* lists the ids to run
+    (default: every id of :data:`repro.experiments.figures.FIGURE_IDS`,
+    cheap catalog tables first); an unknown id raises ``KeyError``.
+    *database* (ResultsDatabase, or a path opened and closed here)
+    collects every trial, *output_dir* receives one ``<id>.txt`` per
+    reproduction, and *on_progress* is called with a line before and
+    after each one.
+    ``jobs=N`` parallelizes each sweep without changing its results.
+    """
+    from repro.experiments.figures import FIGURE_IDS, reproduce
+
+    owned = database is not None \
+        and not isinstance(database, ResultsDatabase)
+    if owned:
+        database = open_results(database)
+    figures = {}
+    try:
+        for figure_id in FIGURE_IDS if only is None else only:
+            if on_progress is not None:
+                on_progress(f"running {figure_id} ...")
+            figure = reproduce(figure_id, scale=scale, jobs=jobs,
+                               tracer=tracer, fidelity=fidelity)
+            figures[figure_id] = figure
+            if output_dir is not None:
+                out = pathlib.Path(output_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                (out / f"{figure_id}.txt").write_text(
+                    figure.rendered + "\n")
+            if database is not None and figure.results:
+                figure.store(database)
+            if on_progress is not None:
+                on_progress(f"  {figure_id} done ({len(figure.results)} "
+                            f"trials)")
+    finally:
+        if owned:
+            database.close()
+    return figures
 
 
 def list_scenarios():
@@ -408,6 +438,7 @@ __all__ = [
     "list_scenarios",
     "open_results",
     "plan_campaign",
+    "reproduce_all",
     "reproduce_figure",
     "resume_campaign",
     "run_adaptive",

@@ -34,9 +34,8 @@ Commands::
     shutdown  [--abort] [--url URL]
     report    --db FILE [--experiment NAME] [--topology W-A-D]
               [--format text|csv|json] [--out FILE]
-    figure    --id ID [--scale F] [--jobs N] [--trace] [--db FILE]
+    figure    --id ID|all [--scale F] [--jobs N|auto] [--trace] [--db FILE]
               [--fidelity des|analytic] [--out DIR]
-                                                 (figure1..8, table1..7)
     scenarios list
     scenarios run NAME [--db FILE] [--jobs N|auto] [--nodes N]
               [--fidelity F] [--resume] [--no-check] [--trace] [--quiet]
@@ -64,6 +63,7 @@ import pathlib
 import sys
 
 from repro.errors import ReproError
+from repro.experiments.figures import FIGURE_IDS
 
 
 def main(argv=None):
@@ -239,14 +239,12 @@ def build_parser():
     report.set_defaults(handler=cmd_report)
 
     figure = commands.add_parser(
-        "figure", help="regenerate one paper figure/table")
+        "figure", parents=[jobs, fidelity],
+        help="regenerate one paper figure/table (or all of them)")
     figure.add_argument("--id", required=True, dest="figure_id",
-                        help="figure1..figure8, table1..table7")
+                        choices=("all", *FIGURE_IDS))
     figure.add_argument("--scale", type=float, default=None,
                         help="trial-phase scale (default: bench scale)")
-    figure.add_argument("--jobs", type=int, default=1,
-                        help="parallel trial workers (default 1; results "
-                             "are identical for any value)")
     figure.add_argument("--trace", action="store_true",
                         help="record lifecycle spans while reproducing "
                              "(stored in --db)")
@@ -254,11 +252,6 @@ def build_parser():
                         help="store the figure's trials (and spans) in "
                              "this SQLite file (default with --trace: "
                              "trace.sqlite)")
-    figure.add_argument("--fidelity", choices=("des", "analytic"),
-                        default="des",
-                        help="solver tier for the figure's trials "
-                             "(default des; analytic solves each point "
-                             "in milliseconds)")
     figure.add_argument("--out", default=None,
                         help="directory for the rendering")
     figure.set_defaults(handler=cmd_figure)
@@ -813,8 +806,7 @@ def cmd_report(args):
 
 
 def cmd_figure(args):
-    from repro.api import reproduce_figure
-    from repro.experiments.papersuite import FIGURE_IDS, reproduce_all
+    from repro.api import reproduce_all
     from repro.obs import Tracer
 
     _resolve_jobs(args)
@@ -822,53 +814,25 @@ def cmd_figure(args):
     if args.trace and db_path is None:
         db_path = "trace.sqlite"
     tracer = Tracer() if args.trace else None
-    if args.figure_id == "all":
-        with _maybe_database(db_path) as database:
-            results = reproduce_all(output_dir=args.out, scale=args.scale,
-                                    database=database, on_progress=print,
-                                    jobs=args.jobs, tracer=tracer,
-                                    fidelity=args.fidelity)
+    reproduce_every = args.figure_id == "all"
+    results = reproduce_all(
+        only=None if reproduce_every else (args.figure_id,),
+        scale=args.scale, jobs=args.jobs, tracer=tracer,
+        fidelity=args.fidelity, database=db_path, output_dir=args.out,
+        on_progress=print if reproduce_every else None)
+    if reproduce_every:
         print(f"reproduced {len(results)} figures/tables"
               + (f" into {args.out}" if args.out else ""))
-        if db_path:
-            print(f"trials stored in {db_path}")
-        return 0
-    try:
-        with _maybe_database(db_path) as database:
-            result = reproduce_figure(args.figure_id, scale=args.scale,
-                                      jobs=args.jobs, tracer=tracer,
-                                      database=database,
-                                      output_dir=args.out,
-                                      fidelity=args.fidelity)
-    except KeyError:
-        print(f"error: unknown figure id {args.figure_id!r}; known: "
-              f"all, {', '.join(FIGURE_IDS)}", file=sys.stderr)
-        return 1
-    print(result.rendered)
-    if args.out:
-        path = pathlib.Path(args.out) / f"{result.figure_id}.txt"
-        print(f"\nwrote {path}")
+    else:
+        print(results[args.figure_id].rendered)
+        if args.out:
+            path = pathlib.Path(args.out) / f"{args.figure_id}.txt"
+            print(f"\nwrote {path}")
     if db_path:
         print(f"trials stored in {db_path}"
               + (f"; inspect spans with: repro trace {db_path}"
                  if args.trace else ""))
     return 0
-
-
-class _NoDatabase:
-    """Context manager standing in for 'no --db given'."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-def _maybe_database(db_path):
-    from repro.api import open_results
-
-    return open_results(db_path) if db_path else _NoDatabase()
 
 
 def cmd_trace(args):

@@ -1,23 +1,24 @@
-"""Declarative reproductions of every figure and table in the paper.
+"""Every figure and table of the paper, declared once.
 
-Each ``figure*``/``table*`` function builds the corresponding sweep (via
-TBL), runs it end to end on a virtual cluster, and returns a
-:class:`FigureResult` with the derived data and an ASCII rendering of
-the same rows/series the paper reports.  ``scale`` shrinks trial phases
-(the paper's 60/300/60 s RUBiS trials at ``scale=1.0``); the workload
-strides default to bench-friendly values and widen to the paper's grids
-by argument.
+A :class:`Sweep` is one experiment grid the paper ran; a :class:`Figure`
+names the sweep it reads, the view that derives its data from the
+trials and the renderer that prints the rows/series the paper reports.
+:data:`FIGURES` lists them in suite order and :func:`reproduce` runs one
+by id.  ``scale`` shrinks trial phases (the paper's 60/300/60 s RUBiS
+trials at ``scale=1.0``); the workload strides default to bench-friendly
+values and widen to the paper's grids by override.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
+from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.sweep import build_experiment
 from repro.generator import Mulini
 from repro.results import analysis, report
-from repro.sim import DES
+from repro.sim import AUTO, DES, check_fidelity
 from repro.spec.mof import load_resource_model, render_resource_mof
 from repro.spec.tbl import expand_range
 from repro.spec.topology import Topology, topology_grid
@@ -45,400 +46,147 @@ class FigureResult:
         return database
 
 
-def make_cluster(platform, node_count=36):
-    return VirtualCluster(platform, node_count=node_count)
-
-
 def make_runner(platform, benchmark, app_server=None, db_node_type=None,
                 cluster=None, node_count=36, tracer=None):
     node_types = {"db": db_node_type} if db_node_type else None
     model = load_resource_model(render_resource_mof(
         benchmark, platform, app_server=app_server, node_types=node_types,
     ))
-    cluster = cluster or make_cluster(platform, node_count)
+    cluster = cluster or VirtualCluster(platform, node_count=node_count)
     return ExperimentRunner(cluster=cluster, resource_model=model,
                             tracer=tracer)
 
 
-def _run(figure_id, title, runner, experiment, tbl):
-    results = runner.run_experiment(experiment)
-    return figure_id, title, results, tbl
+#: The sweep fields a reproduction may override: the grid knobs the paper's
+#: sweeps have always taken.
+OVERRIDABLE = frozenset({"topologies", "workload", "max_workload", "workload_step", "ratio_step",
+                         "seed"})
 
 
-# ---------------------------------------------------------------------------
-# Figures 1 and 2: RUBiS on JOnAS baseline (Emulab, 1-1-1, slow DB node).
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Sweep:
+    """One experiment grid: topologies x workloads x write ratios.
 
-def run_rubis_jonas_baseline(scale=BENCH_SCALE, workload_step=50,
-                             ratio_step=0.1, cluster=None, seed=42,
-                             jobs=1, tracer=None, fidelity=DES):
-    """The Figure 1/2 sweep: 50..250 users x 0..90% writes (IV.A)."""
-    experiment, tbl = build_experiment(
-        name="rubis-jonas-baseline", benchmark="rubis", platform="emulab",
-        topologies=[Topology(1, 1, 1)],
-        workloads=expand_range(50, 250, workload_step),
-        write_ratios=expand_range(0.0, 0.9, ratio_step),
-        db_node_type="emulab_low",     # the deliberately slow DB host
-        scale=scale, seed=seed,
-    )
-    runner = make_runner("emulab", "rubis", db_node_type="emulab-low",
-                         cluster=cluster, node_count=12, tracer=tracer)
-    return runner.run_experiment(experiment, jobs=jobs,
-                                 fidelity=fidelity), tbl
-
-
-def figure1(scale=BENCH_SCALE, workload_step=50, ratio_step=0.1,
-            results=None, tbl="", jobs=1, tracer=None, fidelity=DES):
-    """Figure 1: RUBiS on JOnAS response-time surface."""
-    if results is None:
-        results, tbl = run_rubis_jonas_baseline(scale, workload_step,
-                                                ratio_step, jobs=jobs,
-                                                tracer=tracer,
-                                                fidelity=fidelity)
-    surface = analysis.response_surface(results, "1-1-1", value="response")
-    rendered = report.render_surface(
-        "Figure 1. RUBiS on JOnAS response time (ms), 1-1-1 on Emulab",
-        surface,
-    )
-    return FigureResult("figure1", "RUBiS on JOnAS response time",
-                        surface, rendered, results, tbl)
-
-
-def figure2(scale=BENCH_SCALE, workload_step=50, ratio_step=0.1,
-            results=None, tbl="", jobs=1, tracer=None, fidelity=DES):
-    """Figure 2: RUBiS on JOnAS application-server CPU utilization."""
-    if results is None:
-        results, tbl = run_rubis_jonas_baseline(scale, workload_step,
-                                                ratio_step, jobs=jobs,
-                                                tracer=tracer,
-                                                fidelity=fidelity)
-    surface = analysis.response_surface(results, "1-1-1", value="app_cpu")
-    rendered = report.render_surface(
-        "Figure 2. RUBiS on JOnAS app-server CPU utilization (%), 1-1-1",
-        surface, y_format="{:.0f}",
-    )
-    return FigureResult("figure2", "RUBiS on JOnAS app-server CPU",
-                        surface, rendered, results, tbl)
-
-
-# ---------------------------------------------------------------------------
-# Figure 3: RUBiS on Weblogic baseline (Warp, 1-1-1).
-# ---------------------------------------------------------------------------
-
-def figure3(scale=BENCH_SCALE, workload_step=100, ratio_step=0.1,
-            cluster=None, seed=42, jobs=1, tracer=None, fidelity=DES):
-    """Figure 3: Weblogic replaces JOnAS; 100..600 users (IV.B)."""
-    experiment, tbl = build_experiment(
-        name="rubis-weblogic-baseline", benchmark="rubis", platform="warp",
-        topologies=[Topology(1, 1, 1)],
-        workloads=expand_range(100, 600, workload_step),
-        write_ratios=expand_range(0.0, 0.9, ratio_step),
-        app_server="weblogic", scale=scale, seed=seed,
-    )
-    runner = make_runner("warp", "rubis", app_server="weblogic",
-                         cluster=cluster, node_count=12, tracer=tracer)
-    results = runner.run_experiment(experiment, jobs=jobs,
-                                    fidelity=fidelity)
-    surface = analysis.response_surface(results, "1-1-1", value="response")
-    rendered = report.render_surface(
-        "Figure 3. RUBiS on Weblogic response time (ms), 1-1-1 on Warp",
-        surface,
-    )
-    return FigureResult("figure3", "RUBiS on Weblogic response time",
-                        surface, rendered, results, tbl)
-
-
-# ---------------------------------------------------------------------------
-# Figure 4: RUBBoS baseline (Emulab, 1-1-1, two mixes).
-# ---------------------------------------------------------------------------
-
-def figure4(scale=BENCH_SCALE, workload_step=500, cluster=None, seed=42,
-            jobs=1, tracer=None, fidelity=DES):
-    """Figure 4: RUBBoS 100% read vs 85/15, 500..5000 users (IV.C)."""
-    experiment, tbl = build_experiment(
-        name="rubbos-baseline", benchmark="rubbos", platform="emulab",
-        topologies=[Topology(1, 1, 1)],
-        workloads=expand_range(500, 5000, workload_step),
-        write_ratios=(0.0, 0.15),
-        scale=scale, seed=seed,
-    )
-    runner = make_runner("emulab", "rubbos", cluster=cluster,
-                         node_count=12, tracer=tracer)
-    results = runner.run_experiment(experiment, jobs=jobs,
-                                    fidelity=fidelity)
-    readonly = analysis.response_time_series(results, "1-1-1",
-                                             write_ratio=0.0)
-    mixed = analysis.response_time_series(results, "1-1-1",
-                                          write_ratio=0.15)
-    data = {"100% read": readonly, "85% read / 15% write": mixed}
-    rendered = report.render_multi_series(
-        "Figure 4. RUBBoS baseline response time (ms), 1-1-1 on Emulab",
-        data,
-    )
-    return FigureResult("figure4", "RUBBoS baseline response time",
-                        data, rendered, results, tbl)
-
-
-# ---------------------------------------------------------------------------
-# Figures 5 and 6: RUBiS on JOnAS scale-out (Emulab, wr = 15%).
-# ---------------------------------------------------------------------------
-
-def _scaleout(name, app_range, db_range, workloads, scale, cluster, seed,
-              jobs=1, tracer=None, fidelity=DES):
-    experiment, tbl = build_experiment(
-        name=name, benchmark="rubis", platform="emulab",
-        topologies=list(topology_grid(1, app_range, db_range)),
-        workloads=workloads, write_ratios=(0.15,),
-        scale=scale, seed=seed,
-    )
-    runner = make_runner("emulab", "rubis", cluster=cluster, node_count=36,
-                         tracer=tracer)
-    return runner.run_experiment(experiment, jobs=jobs,
-                                 fidelity=fidelity), tbl
-
-
-def figure5(scale=BENCH_SCALE, workload_step=300, max_workload=2100,
-            cluster=None, seed=42, jobs=1, tracer=None, fidelity=DES):
-    """Figure 5: scale-out response time, 2-8 app x 1-3 db servers."""
-    results, tbl = _scaleout(
-        "rubis-scaleout-2to8", range(2, 9), range(1, 4),
-        expand_range(300, max_workload, workload_step), scale, cluster,
-        seed, jobs=jobs, tracer=tracer, fidelity=fidelity,
-    )
-    data = {
-        topology: analysis.response_time_series(results, topology)
-        for topology in sorted({r.topology_label for r in results})
-    }
-    rendered = report.render_multi_series(
-        "Figure 5. RUBiS on JOnAS scale-out response time (ms), "
-        "2-8 app servers x 1-3 DB servers, wr=15%",
-        data,
-    )
-    return FigureResult("figure5", "RUBiS scale-out RT (2-8 app)",
-                        data, rendered, results, tbl)
-
-
-def figure6(scale=BENCH_SCALE, workload_step=400, cluster=None, seed=42,
-            jobs=1, tracer=None, fidelity=DES):
-    """Figure 6: scale-out response time, 8-12 app x 1-3 db servers."""
-    results, tbl = _scaleout(
-        "rubis-scaleout-8to12", range(8, 13), range(1, 4),
-        expand_range(1700, 2900, workload_step), scale, cluster, seed,
-        jobs=jobs, tracer=tracer, fidelity=fidelity,
-    )
-    data = {
-        topology: analysis.response_time_series(results, topology)
-        for topology in sorted({r.topology_label for r in results})
-    }
-    rendered = report.render_multi_series(
-        "Figure 6. RUBiS on JOnAS scale-out response time (ms), "
-        "8-12 app servers x 1-3 DB servers, wr=15%",
-        data,
-    )
-    return FigureResult("figure6", "RUBiS scale-out RT (8-12 app)",
-                        data, rendered, results, tbl)
-
-
-# ---------------------------------------------------------------------------
-# Figures 7 and 8: database-tier scale-out detail.
-# ---------------------------------------------------------------------------
-
-def run_db_scaleout(scale=BENCH_SCALE, workload_step=300, cluster=None,
-                    seed=42, jobs=1, tracer=None, fidelity=DES):
-    """The Figure 7/8 sweep: the five configurations the paper plots."""
-    topologies = [Topology(1, 8, 1), Topology(1, 8, 2), Topology(1, 8, 3),
-                  Topology(1, 12, 2), Topology(1, 12, 3)]
-    experiment, tbl = build_experiment(
-        name="rubis-db-scaleout", benchmark="rubis", platform="emulab",
-        topologies=topologies,
-        workloads=expand_range(1100, 2900, workload_step),
-        write_ratios=(0.15,), scale=scale, seed=seed,
-    )
-    runner = make_runner("emulab", "rubis", cluster=cluster, node_count=36,
-                         tracer=tracer)
-    return runner.run_experiment(experiment, jobs=jobs,
-                                 fidelity=fidelity), tbl
-
-
-def figure7(scale=BENCH_SCALE, workload_step=300, results=None, tbl="",
-            cluster=None, seed=42, jobs=1, tracer=None, fidelity=DES):
-    """Figure 7: response-time differences between DB configurations."""
-    if results is None:
-        results, tbl = run_db_scaleout(scale, workload_step, cluster, seed,
-                                       jobs=jobs, tracer=tracer,
-                                       fidelity=fidelity)
-    data = {
-        "1DB-2DB (8 app)": analysis.response_time_difference(
-            results, "1-8-1", "1-8-2"),
-        "2DB-3DB (8 app)": analysis.response_time_difference(
-            results, "1-8-2", "1-8-3"),
-        "2DB-3DB (12 app)": analysis.response_time_difference(
-            results, "1-12-2", "1-12-3"),
-    }
-    rendered = report.render_multi_series(
-        "Figure 7. RUBiS scale-out response-time difference (ms) "
-        "between DB configurations", data,
-    )
-    return FigureResult("figure7", "DB-config response-time differences",
-                        data, rendered, results, tbl)
-
-
-def figure8(scale=BENCH_SCALE, workload_step=300, results=None, tbl="",
-            cluster=None, seed=42, jobs=1, tracer=None, fidelity=DES):
-    """Figure 8: DB-tier CPU utilization, the three critical cases.
-
-    The paper's three curves show "gradual saturation of the database
-    servers' CPU utilization at 1700 users (1 server) and 2700 users
-    (2 servers) ... the third curve shows the non-saturation" — i.e.
-    1-8-1, 1-12-2 and 1-12-3 (with 12 app servers the app tier no
-    longer caps the load before the DB knees).
+    Workloads run from *workload* to *max_workload* by *workload_step*
+    (just *workload* when there is no maximum); write ratios likewise.
+    A reproduction may override the fields in :data:`OVERRIDABLE`.
     """
-    if results is None:
-        results, tbl = run_db_scaleout(scale, workload_step, cluster, seed,
-                                       jobs=jobs, tracer=tracer,
-                                       fidelity=fidelity)
-    data = {
-        topology: analysis.db_cpu_series(results, topology)
-        for topology in ("1-8-1", "1-12-2", "1-12-3")
-    }
-    rendered = report.render_multi_series(
-        "Figure 8. RUBiS scale-out DB-tier CPU utilization (%)",
-        data, y_format="{:>10.0f}",
-    )
-    return FigureResult("figure8", "DB-tier CPU utilization",
-                        data, rendered, results, tbl)
+
+    name: str
+    benchmark: str
+    platform: str
+    topologies: tuple
+    workload: int
+    max_workload: int = None
+    workload_step: int = None
+    write_ratio: float = 0.15
+    max_write_ratio: float = None
+    ratio_step: float = None
+    app_server: str = None
+    db_node_type: str = None
+    node_count: int = 36
+    seed: int = 42
+
+    @property
+    def workloads(self):
+        return expand_range(self.workload, self.max_workload, self.workload_step)
+
+    @property
+    def write_ratios(self):
+        return expand_range(self.write_ratio, self.max_write_ratio, self.ratio_step)
+
+    def experiment(self, scale=1.0):
+        """The grid as one TBL experiment; returns ``(experiment, tbl)``."""
+        return build_experiment(
+            name=self.name, benchmark=self.benchmark, platform=self.platform,
+            topologies=[Topology.parse(label) for label in self.topologies],
+            workloads=self.workloads, write_ratios=self.write_ratios, app_server=self.app_server,
+            db_node_type=self.db_node_type, scale=scale, seed=self.seed)
+
+    def run(self, *, scale=BENCH_SCALE, jobs=1, tracer=None, fidelity=DES):
+        """Run every trial of the grid; returns ``(results, tbl)``."""
+        experiment, tbl = self.experiment(scale)
+        runner = make_runner(self.platform, self.benchmark, app_server=self.app_server,
+                             db_node_type=self.db_node_type, node_count=self.node_count,
+                             tracer=tracer)
+        return runner.run_experiment(experiment, jobs=jobs, fidelity=fidelity), tbl
 
 
-# ---------------------------------------------------------------------------
-# Table 6: improvement of adding app vs DB servers at 500 users.
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Figure:
+    """One paper artifact: the sweep it reads and how it reads it.
 
-def table6(scale=BENCH_SCALE, cluster=None, seed=42, workload=500,
-           jobs=1, tracer=None, fidelity=DES):
-    """Table 6: % RT improvement from 1-1-1 at 500 users (V.B)."""
-    topologies = [Topology(1, 1, 1), Topology(1, 2, 1), Topology(1, 3, 1),
-                  Topology(1, 4, 1), Topology(1, 1, 2), Topology(1, 1, 3)]
-    experiment, tbl = build_experiment(
-        name="rubis-table6", benchmark="rubis", platform="emulab",
-        topologies=topologies, workloads=(workload,), write_ratios=(0.15,),
-        scale=scale, seed=seed,
-    )
-    runner = make_runner("emulab", "rubis", cluster=cluster, node_count=12,
-                         tracer=tracer)
-    results = runner.run_experiment(experiment, jobs=jobs,
-                                    fidelity=fidelity)
-    table = analysis.improvement_table(
-        results, "1-1-1", workload, 0.15,
-        app_range=range(2, 5), db_range=range(2, 4),
-    )
-    rendered = report.render_improvement_table(
-        f"Table 6. % response-time improvement over 1-1-1 at "
-        f"{workload} users (wr=15%)", table,
-    )
-    return FigureResult("table6", "Improvement of adding servers",
-                        table, rendered, results, tbl)
-
-
-# ---------------------------------------------------------------------------
-# Table 7: average throughput per configuration and load.
-# ---------------------------------------------------------------------------
-
-def table7(scale=BENCH_SCALE, workload_step=100, cluster=None, seed=42,
-           jobs=1, tracer=None, fidelity=DES):
-    """Table 7: throughput for 1-2-1..1-4-3, loads 300..1000 (V.B)."""
-    topologies = list(topology_grid(1, range(2, 5), range(1, 4)))
-    workloads = expand_range(300, 1000, workload_step)
-    experiment, tbl = build_experiment(
-        name="rubis-table7", benchmark="rubis", platform="emulab",
-        topologies=topologies, workloads=workloads, write_ratios=(0.15,),
-        scale=scale, seed=seed,
-    )
-    runner = make_runner("emulab", "rubis", cluster=cluster, node_count=12,
-                         tracer=tracer)
-    results = runner.run_experiment(experiment, jobs=jobs,
-                                    fidelity=fidelity)
-    table = analysis.throughput_table(
-        results, [t.label() for t in topologies], workloads,
-    )
-    rendered = report.render_throughput_table(
-        "Table 7. RUBiS measured average throughput (req/s); "
-        "'-' marks trials that could not complete", table,
-    )
-    return FigureResult("table7", "RUBiS throughput table",
-                        table, rendered, results, tbl)
-
-
-# ---------------------------------------------------------------------------
-# Supplemental experiments the paper ran but did not plot.
-# ---------------------------------------------------------------------------
-
-def supplemental_rubbos_scaleout(scale=BENCH_SCALE, workload_step=500,
-                                 cluster=None, seed=42, jobs=1,
-                                 tracer=None, fidelity=DES):
-    """RUBBoS scale-out on its bottleneck, the database tier.
-
-    The conclusion mentions "the scale-out experiments ... for RUBBoS
-    also on the bottleneck the database server" without a figure.  With
-    the read-only mix, RAIDb-1 read-balancing scales almost linearly
-    (no writes to replicate): the 2000-user single-DB knee moves to
-    ~4000 with two replicas.
+    *view* derives the figure's data from ``(results, sweep)``;
+    *render* prints it under *heading*, which may name sweep fields
+    (``{workload}``).  A catalog or generation table has no sweep and is
+    *build* called with the overrides instead.
     """
-    experiment, tbl = build_experiment(
-        name="rubbos-db-scaleout", benchmark="rubbos", platform="emulab",
-        topologies=[Topology(1, 1, 1), Topology(1, 1, 2),
-                    Topology(1, 1, 3)],
-        workloads=expand_range(1000, 4500, workload_step),
-        write_ratios=(0.0,), scale=scale, seed=seed,
-    )
-    runner = make_runner("emulab", "rubbos", cluster=cluster,
-                         node_count=14, tracer=tracer)
-    results = runner.run_experiment(experiment, jobs=jobs,
-                                    fidelity=fidelity)
-    data = {
-        topology: analysis.response_time_series(results, topology)
-        for topology in ("1-1-1", "1-1-2", "1-1-3")
-    }
-    rendered = report.render_multi_series(
-        "Supplemental: RUBBoS DB scale-out response time (ms), "
-        "read-only mix", data,
-    )
-    return FigureResult("supplemental_rubbos_scaleout",
-                        "RUBBoS DB scale-out", data, rendered, results,
-                        tbl)
+
+    figure_id: str
+    title: str = ""
+    sweep: Sweep = None
+    view: object = None
+    render: object = None
+    heading: str = ""
+    build: object = None
+
+    def reproduce(self, run, **overrides):
+        """The figure over its sweep with *overrides*; *run* executes a
+        :class:`Sweep` and returns its ``(results, tbl)``."""
+        if self.sweep is None:
+            return self.build(**overrides)
+        if not OVERRIDABLE.issuperset(overrides):
+            raise TypeError(f"{self.figure_id} overrides only {sorted(OVERRIDABLE)}, "
+                            f"not {sorted(set(overrides) - OVERRIDABLE)}")
+        sweep = replace(self.sweep, **overrides)
+        results, tbl = run(sweep)
+        data = self.view(results, sweep)
+        rendered = self.render(self.heading.format_map(vars(sweep)), data)
+        return FigureResult(self.figure_id, self.title, data, rendered, results, tbl)
 
 
-def supplemental_weblogic_scaleout(scale=BENCH_SCALE, workload_step=300,
-                                   cluster=None, seed=42, jobs=1,
-                                   tracer=None, fidelity=DES):
-    """Scale-out RUBiS on Weblogic (Table 3's fourth experiment set).
+def _grid(app_range, db_range):
+    return tuple(topology.label() for topology in topology_grid(1, app_range, db_range))
 
-    The paper ran 1-2-1 .. 1-6-2 on Warp; with two CPUs per node each
-    Weblogic server carries ~490 users, so the app-tier ladder climbs
-    twice as fast as JOnAS's.
-    """
-    experiment, tbl = build_experiment(
-        name="rubis-weblogic-scaleout", benchmark="rubis",
-        platform="warp",
-        topologies=list(topology_grid(1, range(2, 7), range(1, 3))),
-        workloads=expand_range(300, 2700, workload_step),
-        write_ratios=(0.15,), app_server="weblogic", scale=scale,
-        seed=seed,
-    )
-    runner = make_runner("warp", "rubis", app_server="weblogic",
-                         cluster=cluster, node_count=14, tracer=tracer)
-    results = runner.run_experiment(experiment, jobs=jobs,
-                                    fidelity=fidelity)
-    data = {
-        topology: analysis.response_time_series(results, topology)
-        for topology in sorted({r.topology_label for r in results})
-    }
-    rendered = report.render_multi_series(
-        "Supplemental: RUBiS on Weblogic scale-out response time (ms), "
-        "2-6 app servers x 1-2 DB servers (Warp), wr=15%", data,
-    )
-    return FigureResult("supplemental_weblogic_scaleout",
-                        "Weblogic scale-out", data, rendered, results,
-                        tbl)
+
+def _surface(value, results, sweep):
+    return analysis.response_surface(results, "1-1-1", value=value)
+
+
+def _mixes(results, sweep):
+    return {"100% read": analysis.response_time_series(results, "1-1-1", write_ratio=0.0),
+            "85% read / 15% write": analysis.response_time_series(results, "1-1-1",
+                                                                  write_ratio=0.15)}
+
+
+def _every_topology(results, sweep):
+    return {topology: analysis.response_time_series(results, topology)
+            for topology in sorted({r.topology_label for r in results})}
+
+
+def _db_differences(results, sweep):
+    return {label: analysis.response_time_difference(results, more, fewer)
+            for label, more, fewer in (("1DB-2DB (8 app)", "1-8-1", "1-8-2"),
+                                       ("2DB-3DB (8 app)", "1-8-2", "1-8-3"),
+                                       ("2DB-3DB (12 app)", "1-12-2", "1-12-3"))}
+
+
+def _db_cpu(results, sweep):
+    # The paper's three curves show "gradual saturation of the database servers'
+    # CPU utilization at 1700 users (1 server) and 2700 users (2 servers) ... the
+    # third curve shows the non-saturation": with 12 app servers the app tier no
+    # longer caps the load before the DB knees.
+    return {topology: analysis.db_cpu_series(results, topology)
+            for topology in ("1-8-1", "1-12-2", "1-12-3")}
+
+
+def _improvement(results, sweep):
+    return analysis.improvement_table(results, "1-1-1", sweep.workload, sweep.write_ratio,
+                                      app_range=range(2, 5), db_range=range(2, 4))
+
+
+def _throughput(results, sweep):
+    return analysis.throughput_table(results, list(sweep.topologies), sweep.workloads)
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +235,10 @@ def table2():
 # Tables 3-5: management-scale accounting (generation, no execution).
 # ---------------------------------------------------------------------------
 
-def _generation_set(name, benchmark, platform, topologies, workloads,
-                    write_ratios, app_server=None, db_node_type=None):
-    experiment, _tbl = build_experiment(
-        name=name, benchmark=benchmark, platform=platform,
-        topologies=topologies, workloads=workloads,
-        write_ratios=write_ratios, app_server=app_server,
-        db_node_type=db_node_type,
-    )
+def _generation_set(sweep):
+    experiment, _tbl = sweep.experiment()
     model = load_resource_model(render_resource_mof(
-        benchmark, platform, app_server=app_server,
+        sweep.benchmark, sweep.platform, app_server=sweep.app_server,
     ))
     mulini = Mulini(model)
     script_lines = config_lines = files = machines = 0
@@ -512,7 +254,7 @@ def _generation_set(name, benchmark, platform, topologies, workloads,
         estimated_bytes += estimate_collected_bytes(experiment, topology,
                                                     workload)
     return {
-        "set": name,
+        "set": sweep.name,
         "experiments": bundles,
         "script_lines": script_lines,
         "config_lines": config_lines,
@@ -547,89 +289,183 @@ def table3(paper_scale=True):
     estimated per trial (see :func:`estimate_collected_bytes`).
     """
     step = 50 if paper_scale else 100
-    sets = [
-        _generation_set(
-            "Baseline RUBiS on JOnAS", "rubis", "emulab",
-            [Topology(1, 1, 1)], expand_range(50, 250, step),
-            expand_range(0.0, 0.9, 0.1), db_node_type="emulab_low",
-        ),
-        _generation_set(
-            "Baseline RUBiS on Weblogic", "rubis", "warp",
-            [Topology(1, 1, 1)], expand_range(100, 600, step),
-            expand_range(0.0, 0.9, 0.1), app_server="weblogic",
-        ),
-        _generation_set(
-            "Scale-out RUBiS on JOnAS", "rubis", "emulab",
-            list(topology_grid(1, range(2, 13), range(1, 4))),
-            expand_range(300, 2900, 200 if paper_scale else 400),
-            (0.15,),
-        ),
-        _generation_set(
-            "Scale-out RUBiS on Weblogic", "rubis", "warp",
-            list(topology_grid(1, range(2, 7), range(1, 3))),
-            expand_range(300, 1500, 200 if paper_scale else 400),
-            (0.15,), app_server="weblogic",
-        ),
-    ]
+    scaleout_step = 200 if paper_scale else 400
+    sets = [_generation_set(sweep) for sweep in (
+        replace(JONAS_BASELINE, name="Baseline RUBiS on JOnAS", workload_step=step),
+        replace(WEBLOGIC_BASELINE, name="Baseline RUBiS on Weblogic", workload_step=step),
+        Sweep("Scale-out RUBiS on JOnAS", "rubis", "emulab", _grid(range(2, 13), range(1, 4)), 300,
+              max_workload=2900, workload_step=scaleout_step),
+        replace(WEBLOGIC_SCALEOUT, name="Scale-out RUBiS on Weblogic", max_workload=1500,
+                workload_step=scaleout_step),
+    )]
     rendered = report.render_management_scale(
         "Table 3. Scale of experiments run (regenerated)", sets,
     )
     return FigureResult("table3", "Scale of experiments", sets, rendered)
 
 
+def _bundle_table(figure_id, title, heading, topology, files):
+    """Line counts of *files* in the RUBiS bundle of *topology* at 500 users (Tables 4, 5)."""
+    model = load_resource_model(render_resource_mof("rubis", "emulab"))
+    experiment, _tbl = Sweep(f"rubis-{figure_id}", "rubis", "emulab", (topology.label(),),
+                             500).experiment()
+    bundle = Mulini(model).generate(experiment, topology, 500, 0.15)
+    entries = [(name, bundle.line_count(name), comment) for name, comment in files]
+    return FigureResult(figure_id, title, {"entries": entries, "bundle": bundle},
+                        report.render_bundle_table(heading, entries))
+
+
 def table4(topology=Topology(1, 2, 2)):
     """Table 4: example generated scripts with line counts (1-2-2)."""
-    model = load_resource_model(render_resource_mof("rubis", "emulab"))
-    mulini = Mulini(model)
-    experiment, _tbl = build_experiment(
-        name="rubis-table4", benchmark="rubis", platform="emulab",
-        topologies=[topology], workloads=(500,), write_ratios=(0.15,),
-    )
-    bundle = mulini.generate(experiment, topology, 500, 0.15)
-    interesting = [
-        ("run.sh", "Calls all the other subscripts to install, configure "
-                   "and execute a RUBiS experiment"),
-        ("scripts/TOMCAT1_install.sh", "Installs Tomcat server #1"),
-        ("scripts/TOMCAT1_configure.sh", "Configures Tomcat server #1"),
-        ("scripts/TOMCAT1_ignition.sh", "Starts Tomcat server #1"),
-        ("scripts/TOMCAT1_stop.sh", "Stops Tomcat server #1"),
-        ("scripts/SYS_MON_APP1_install.sh",
-         "Installs system monitoring tools on app server #1"),
-        ("scripts/SYS_MON_APP1_ignition.sh",
-         "Starts system monitoring tools on app server #1"),
-    ]
-    entries = [(name, bundle.line_count(name), comment)
-               for name, comment in interesting]
-    rendered = report.render_bundle_table(
+    return _bundle_table(
+        "table4", "Examples of generated scripts",
         "Table 4. Examples of generated scripts (1-2-2 configuration)",
-        entries,
-    )
-    return FigureResult("table4", "Examples of generated scripts",
-                        {"entries": entries, "bundle": bundle}, rendered)
+        topology, [
+            ("run.sh", "Calls all the other subscripts to install, "
+                       "configure and execute a RUBiS experiment"),
+            ("scripts/TOMCAT1_install.sh", "Installs Tomcat server #1"),
+            ("scripts/TOMCAT1_configure.sh", "Configures Tomcat server #1"),
+            ("scripts/TOMCAT1_ignition.sh", "Starts Tomcat server #1"),
+            ("scripts/TOMCAT1_stop.sh", "Stops Tomcat server #1"),
+            ("scripts/SYS_MON_APP1_install.sh",
+             "Installs system monitoring tools on app server #1"),
+            ("scripts/SYS_MON_APP1_ignition.sh",
+             "Starts system monitoring tools on app server #1"),
+        ])
 
 
 def table5(topology=Topology(1, 2, 2)):
     """Table 5: example configuration files modified by Mulini (1-2-2)."""
-    model = load_resource_model(render_resource_mof("rubis", "emulab"))
-    mulini = Mulini(model)
-    experiment, _tbl = build_experiment(
-        name="rubis-table5", benchmark="rubis", platform="emulab",
-        topologies=[topology], workloads=(500,), write_ratios=(0.15,),
-    )
-    bundle = mulini.generate(experiment, topology, 500, 0.15)
-    interesting = [
-        ("config/APACHE1_workers2.properties",
-         "Configures Apache to connect to application server tier"),
-        ("config/CJDBC1_mysqldb-raidb1-elba.xml",
-         "Configures C-JDBC controller to connect to databases"),
-        ("config/JONAS1_monitor-local.properties",
-         "Configures the application-level probe monitor"),
-    ]
-    entries = [(name, bundle.line_count(name), comment)
-               for name, comment in interesting]
-    rendered = report.render_bundle_table(
+    return _bundle_table(
+        "table5", "Examples of configuration files",
         "Table 5. Examples of configuration files modified (1-2-2)",
-        entries,
-    )
-    return FigureResult("table5", "Examples of configuration files",
-                        {"entries": entries, "bundle": bundle}, rendered)
+        topology, [
+            ("config/APACHE1_workers2.properties",
+             "Configures Apache to connect to application server tier"),
+            ("config/CJDBC1_mysqldb-raidb1-elba.xml",
+             "Configures C-JDBC controller to connect to databases"),
+            ("config/JONAS1_monitor-local.properties",
+             "Configures the application-level probe monitor"),
+        ])
+
+
+#: Figures 1/2: RUBiS on JOnAS, 50..250 users x 0..90% writes (IV.A), on
+#: Emulab's deliberately slow DB host.
+JONAS_BASELINE = Sweep("rubis-jonas-baseline", "rubis", "emulab", ("1-1-1",), 50,
+                       max_workload=250, workload_step=50, write_ratio=0.0, max_write_ratio=0.9,
+                       ratio_step=0.1, db_node_type="emulab_low", node_count=12)
+
+#: Figure 3: Weblogic replaces JOnAS on Warp's dual-CPU nodes (IV.B).
+WEBLOGIC_BASELINE = Sweep("rubis-weblogic-baseline", "rubis", "warp", ("1-1-1",), 100,
+                          max_workload=600, workload_step=100, write_ratio=0.0,
+                          max_write_ratio=0.9, ratio_step=0.1, app_server="weblogic",
+                          node_count=12)
+
+#: Table 3's fourth experiment set, 1-2-1 .. 1-6-2 on Warp ("figure omitted"
+#: in the paper): with two CPUs per node each Weblogic server carries ~490
+#: users, so the app-tier ladder climbs twice as fast as JOnAS's.
+WEBLOGIC_SCALEOUT = Sweep("rubis-weblogic-scaleout", "rubis", "warp",
+                          _grid(range(2, 7), range(1, 3)), 300, max_workload=2700,
+                          workload_step=300, app_server="weblogic", node_count=14)
+
+#: Figures 7/8: the five DB-tier configurations the paper plots (V.B).
+DB_SCALEOUT = Sweep("rubis-db-scaleout", "rubis", "emulab",
+                    ("1-8-1", "1-8-2", "1-8-3", "1-12-2", "1-12-3"), 1100, max_workload=2900,
+                    workload_step=300)
+
+_response_surface = partial(_surface, "response")
+
+FIGURES = {figure.figure_id: figure for figure in (
+    # Catalog and generation tables first, then the baselines, then the
+    # big scale-out sweeps.
+    Figure("table1", build=table1),
+    Figure("table2", build=table2),
+    Figure("table4", build=table4),
+    Figure("table5", build=table5),
+    Figure("table3", build=table3),
+    Figure("figure1", "RUBiS on JOnAS response time", JONAS_BASELINE, _response_surface,
+           report.render_surface, "Figure 1. RUBiS on JOnAS response time (ms), 1-1-1 on Emulab"),
+    Figure("figure2", "RUBiS on JOnAS app-server CPU", JONAS_BASELINE,
+           partial(_surface, "app_cpu"), report.render_surface,
+           "Figure 2. RUBiS on JOnAS app-server CPU utilization (%), 1-1-1"),
+    Figure("figure3", "RUBiS on Weblogic response time", WEBLOGIC_BASELINE, _response_surface,
+           report.render_surface, "Figure 3. RUBiS on Weblogic response time (ms), 1-1-1 on Warp"),
+    # RUBBoS 100% read vs 85/15, 500..5000 users (IV.C).
+    Figure("figure4", "RUBBoS baseline response time",
+           Sweep("rubbos-baseline", "rubbos", "emulab", ("1-1-1",), 500, max_workload=5000,
+                 workload_step=500, write_ratio=0.0, max_write_ratio=0.15, ratio_step=0.15,
+                 node_count=12),
+           _mixes, report.render_multi_series,
+           "Figure 4. RUBBoS baseline response time (ms), 1-1-1 on Emulab"),
+    # % response-time improvement from 1-1-1 at 500 users (V.B).
+    Figure("table6", "Improvement of adding servers",
+           Sweep("rubis-table6", "rubis", "emulab",
+                 ("1-1-1", "1-2-1", "1-3-1", "1-4-1", "1-1-2", "1-1-3"), 500, node_count=12),
+           _improvement, report.render_improvement_table,
+           "Table 6. % response-time improvement over 1-1-1 at {workload} users (wr=15%)"),
+    # Throughput for 1-2-1..1-4-3 at loads 300..1000 (V.B).
+    Figure("table7", "RUBiS throughput table",
+           Sweep("rubis-table7", "rubis", "emulab", _grid(range(2, 5), range(1, 4)), 300,
+                 max_workload=1000, workload_step=100, node_count=12),
+           _throughput, report.render_throughput_table,
+           "Table 7. RUBiS measured average throughput (req/s); "
+           "'-' marks trials that could not complete"),
+    Figure("figure5", "RUBiS scale-out RT (2-8 app)",
+           Sweep("rubis-scaleout-2to8", "rubis", "emulab", _grid(range(2, 9), range(1, 4)), 300,
+                 max_workload=2100, workload_step=300),
+           _every_topology, report.render_multi_series,
+           "Figure 5. RUBiS on JOnAS scale-out response time (ms), "
+           "2-8 app servers x 1-3 DB servers, wr=15%"),
+    Figure("figure6", "RUBiS scale-out RT (8-12 app)",
+           Sweep("rubis-scaleout-8to12", "rubis", "emulab", _grid(range(8, 13), range(1, 4)),
+                 1700, max_workload=2900, workload_step=400),
+           _every_topology, report.render_multi_series,
+           "Figure 6. RUBiS on JOnAS scale-out response time (ms), "
+           "8-12 app servers x 1-3 DB servers, wr=15%"),
+    Figure("figure7", "DB-config response-time differences", DB_SCALEOUT, _db_differences,
+           report.render_multi_series,
+           "Figure 7. RUBiS scale-out response-time difference (ms) between DB configurations"),
+    Figure("figure8", "DB-tier CPU utilization", DB_SCALEOUT, _db_cpu,
+           partial(report.render_multi_series, y_format="{:>10.0f}"),
+           "Figure 8. RUBiS scale-out DB-tier CPU utilization (%)"),
+    # The conclusion mentions "the scale-out experiments ... for RUBBoS
+    # also on the bottleneck the database server" without a figure.  With
+    # the read-only mix RAIDb-1 read-balancing scales almost linearly: the
+    # 2000-user single-DB knee moves to ~4000 with two replicas.
+    Figure("supplemental_rubbos_scaleout", "RUBBoS DB scale-out",
+           Sweep("rubbos-db-scaleout", "rubbos", "emulab", ("1-1-1", "1-1-2", "1-1-3"), 1000,
+                 max_workload=4500, workload_step=500, write_ratio=0.0, node_count=14),
+           _every_topology, report.render_multi_series,
+           "Supplemental: RUBBoS DB scale-out response time (ms), read-only mix"),
+    Figure("supplemental_weblogic_scaleout", "Weblogic scale-out", WEBLOGIC_SCALEOUT,
+           _every_topology, report.render_multi_series,
+           "Supplemental: RUBiS on Weblogic scale-out response time (ms), "
+           "2-6 app servers x 1-2 DB servers (Warp), wr=15%"),
+)}
+
+FIGURE_IDS = tuple(FIGURES)
+
+
+def reproduce(figure_id, *, scale=None, jobs=1, tracer=None, fidelity=DES,
+              **overrides):
+    """Run one reproduction by id; returns its :class:`FigureResult`.
+
+    *overrides* replace :data:`OVERRIDABLE` fields of the figure's
+    :class:`Sweep` (say ``workload_step=900``), or are a catalog table's
+    own arguments.
+    ``jobs=N`` runs the sweep on N scheduler workers; the derived data
+    is identical to a sequential run.  A *tracer* records every trial's
+    lifecycle spans.  *fidelity* selects the solver tier for the
+    figure's trials (``"des"`` or ``"analytic"``); it is checked even
+    for the catalog tables, which ignore it.
+    """
+    figure = FIGURES[figure_id]
+    check_fidelity(fidelity)
+    if fidelity == AUTO:
+        raise ExperimentError(
+            "fidelity 'auto' is an adaptive-exploration mode; a figure "
+            "reproduction takes 'des' or 'analytic'")
+    return figure.reproduce(
+        partial(Sweep.run, scale=BENCH_SCALE if scale is None else scale,
+                jobs=jobs, tracer=tracer, fidelity=fidelity),
+        **overrides)

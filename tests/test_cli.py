@@ -175,8 +175,25 @@ class TestCli:
         assert "workers2.properties" in capsys.readouterr().out
 
     def test_figure_unknown_id(self, capsys):
-        assert main(["figure", "--id", "figure99"]) == 1
-        assert "unknown figure id" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure", "--id", "figure99"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'figure99'" in capsys.readouterr().err
+
+    def test_figure_ids_come_from_the_figure_table(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["figure", "--help"])
+        out = capsys.readouterr().out
+        assert "all" in out
+        assert "supplemental_weblogic_scaleout" in out
+
+    def test_figure_jobs_auto(self, capsys):
+        assert main(["figure", "--id", "table5", "--jobs", "auto"]) == 0
+        assert "--jobs auto: sized to" in capsys.readouterr().out
+
+    def test_figure_rejects_auto_fidelity(self, capsys):
+        assert main(["figure", "--id", "table1", "--fidelity", "auto"]) == 1
+        assert "adaptive-exploration" in capsys.readouterr().err
 
     def test_catalog(self, capsys):
         assert main(["catalog"]) == 0

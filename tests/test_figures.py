@@ -1,233 +1,98 @@
-"""Shape tests for the reproduced figures and tables.
+"""The paper's claims at test scale, and the figure plumbing under them.
 
-These assert the paper's qualitative claims — who wins, by roughly what
-factor, where crossovers fall — on reduced sweeps; the benchmark
-harness regenerates the full figures.
+Every test-tier row of :data:`repro.experiments.claims.CLAIMS` is one
+``test_claim`` case — who wins, by roughly what factor, where crossovers
+fall — on reduced sweeps that run once per module.  The benchmark
+harness checks the full-tier rows on the figures' default sweeps.
 """
+
+import json
+import re
 
 import pytest
 
-from repro.experiments import figures
-from repro.experiments.figures import (
-    figure1,
-    figure2,
-    figure4,
-    figure7,
-    figure8,
-    run_db_scaleout,
-    run_rubis_jonas_baseline,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
+from repro.experiments.claims import (
+    CLAIMS,
+    FULL,
+    PREDICATES,
+    SCALES,
+    TEST,
+    reproduce_claimed,
 )
-from repro.results import analysis
+from repro.experiments.figures import FIGURE_IDS, FIGURES, OVERRIDABLE, reproduce
+from tests.test_golden import GOLDEN_PATH, claims_digest
 
-SCALE = 0.05
+TEST_CLAIMS = [claim for claim in CLAIMS if claim.tier == TEST]
+
+
+def _claim_id(claim):
+    words = re.findall(r"[\w.\-]+", repr(claim.operands))
+    return f"{claim.figure_id}-{claim.predicate}-{'_'.join(words)}"
 
 
 @pytest.fixture(scope="module")
-def baseline_run():
-    """One shared Figure 1/2 sweep (reduced: 3 workloads x 4 ratios)."""
-    return run_rubis_jonas_baseline(scale=SCALE, workload_step=100,
-                                    ratio_step=0.3)
+def figures():
+    return reproduce_claimed(TEST)
 
 
-@pytest.fixture(scope="module")
-def db_scaleout_run():
-    """One shared Figure 7/8 sweep (reduced workload grid)."""
-    return run_db_scaleout(scale=SCALE, workload_step=900)
+def _test_figure(figures, figure_id):
+    return next(figures[claim.key] for claim in TEST_CLAIMS
+                if claim.figure_id == figure_id)
+
+
+@pytest.mark.parametrize("claim", TEST_CLAIMS, ids=_claim_id)
+def test_claim(figures, claim):
+    figure = figures[claim.key]
+    assert claim.holds(figure), f"{claim}: values {claim.values(figure)}"
+
+
+class TestClaimsTable:
+    def test_rows_are_well_formed(self):
+        for claim in CLAIMS:
+            assert claim.figure_id in FIGURES, claim
+            assert claim.tier in SCALES, claim
+            assert claim.predicate in PREDICATES, claim
+            assert claim.operands and claim.section, claim
+
+    def test_every_suite_id_has_a_full_scale_row(self):
+        claimed = {claim.figure_id for claim in CLAIMS
+                   if claim.tier == FULL}
+        assert claimed == set(FIGURE_IDS)
+
+    def test_only_grid_knobs_are_overridable(self):
+        assert OVERRIDABLE <= set(vars(FIGURES["figure5"].sweep))
+        with pytest.raises(TypeError, match="overrides only"):
+            reproduce("figure5", benchmark="rubbos")
+
+    def test_table_matches_its_golden_digest(self):
+        # No claim may be dropped, loosened or flipped unnoticed: any
+        # edit to the table re-records its digest in the same change
+        # (PYTHONPATH=src python -m tests.test_golden).
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert claims_digest() == golden["claims"]
 
 
 class TestFigure1and2:
-    def test_figure1_bottleneck_region(self, baseline_run):
-        results, tbl = baseline_run
-        fig = figure1(results=results, tbl=tbl)
-        surface = fig.data
-        # Monotone growth toward the low-write, high-user corner.
-        assert surface[(250, 0.0)] > 4 * surface[(50, 0.0)]
-        # The paper's inversion: high write ratio keeps RT short.
-        assert surface[(250, 0.9)] < surface[(250, 0.0)] / 4
-        assert "Figure 1" in fig.rendered
-
-    def test_figure1_tbl_recorded(self, baseline_run):
-        results, tbl = baseline_run
-        fig = figure1(results=results, tbl=tbl)
+    def test_figure1_tbl_recorded(self, figures):
+        fig = _test_figure(figures, "figure1")
         assert "benchmark rubis" in fig.tbl_source
 
-    def test_figure2_correlated_cpu_peaks(self, baseline_run):
-        results, tbl = baseline_run
-        fig = figure2(results=results, tbl=tbl)
-        surface = fig.data
-        # App CPU saturates exactly where Figure 1's RT peaks (IV.A).
-        assert surface[(250, 0.0)] > 85.0
-        assert surface[(50, 0.9)] < 35.0
-
-    def test_figures_1_and_2_share_observations(self, baseline_run):
-        results, tbl = baseline_run
-        rt = figure1(results=results, tbl=tbl).data
-        cpu = figure2(results=results, tbl=tbl).data
+    def test_figures_1_and_2_share_observations(self, figures):
+        rt = _test_figure(figures, "figure1").data
+        cpu = _test_figure(figures, "figure2").data
         assert set(rt) == set(cpu)
 
 
-class TestFigure3:
-    def test_weblogic_supports_twice_the_users(self):
-        fig = figures.figure3(scale=SCALE, workload_step=250,
-                              ratio_step=0.45)
-        surface = fig.data
-        # JOnAS/Emulab saturates ~250 users; Weblogic/Warp is still
-        # comfortable at 350 and saturates past 400 (about twice).
-        assert surface[(350, 0.0)] < 1000.0
-        assert surface[(600, 0.0)] > 2 * surface[(350, 0.0)]
-
-
-class TestFigure4:
-    def test_readonly_saturates_much_earlier(self):
-        fig = figure4(scale=SCALE, workload_step=1500)
-        readonly = dict(fig.data["100% read"])
-        mixed = dict(fig.data["85% read / 15% write"])
-        # At 3500 users the read-only mix is far past its ~2000-user
-        # knee while the 85/15 mix is near its ~3200-user knee.
-        assert readonly[3500] > 2 * mixed[3500]
-        # Both start comparable at 500 users.
-        assert readonly[500] < 300.0
-        assert mixed[500] < 300.0
-
-
-class TestScaleOutShapes:
-    @pytest.fixture(scope="class")
-    def small_scaleout(self):
-        return figures._scaleout(
-            "test-scaleout", range(1, 4), range(1, 3),
-            (300, 600, 900), SCALE, None, 42,
-        )
-
-    def test_app_servers_buy_250_users_each(self, small_scaleout):
-        results, _tbl = small_scaleout
-        # 1-2-1 saturated at 600; 1-3-1 (+1 app) handles 600 gracefully.
-        two = dict(analysis.response_time_series(results, "1-2-1"))
-        three = dict(analysis.response_time_series(results, "1-3-1"))
-        assert three[600] < two[600] / 3
-
-    def test_adding_db_makes_little_difference(self, small_scaleout):
-        # Below the 1700-user DB knee, a second DB is nearly worthless
-        # while a second app server is dramatic (Figure 5's overlap).
-        results, _tbl = small_scaleout
-        base = dict(analysis.response_time_series(results, "1-1-1"))
-        more_db = dict(analysis.response_time_series(results, "1-1-2"))
-        more_app = dict(analysis.response_time_series(results, "1-2-1"))
-        gain_db = base[300] - more_db[300]
-        gain_app = base[300] - more_app[300]
-        assert gain_app > 4 * max(gain_db, 1.0)
-
-
-class TestFigure7and8:
-    def test_figure7_db_jump_at_1700(self, db_scaleout_run):
-        results, tbl = db_scaleout_run
-        fig = figure7(results=results, tbl=tbl)
-        one_vs_two = dict(fig.data["1DB-2DB (8 app)"])
-        # Flat on the left, sudden jump once 1 DB saturates (~1700).
-        assert abs(one_vs_two[1100]) < 200.0
-        assert one_vs_two[2000] > 500.0
-
-    def test_figure7_third_db_adds_little_at_8_app(self, db_scaleout_run):
-        results, tbl = db_scaleout_run
-        fig = figure7(results=results, tbl=tbl)
-        two_vs_three = dict(fig.data["2DB-3DB (8 app)"])
-        assert abs(two_vs_three[1100]) < 200.0
-        assert abs(two_vs_three[2000]) < 400.0
-
-    def test_figure8_db_cpu_saturation_points(self, db_scaleout_run):
-        results, tbl = db_scaleout_run
-        fig = figure8(results=results, tbl=tbl)
-        one_db = dict(fig.data["1-8-1"])
-        twelve_two = dict(fig.data["1-12-2"])
-        # 1-8-1's single DB is saturated by 2000 users.
-        assert one_db[2000] > 85.0
-        # 1-12-2's DB pair stays below saturation at 2000.
-        assert twelve_two[2000] < 80.0
-
-
-class TestTable6:
-    def test_app_improvement_dwarfs_db_improvement(self):
-        fig = table6(scale=SCALE)
-        table = fig.data
-        # Paper: +1 app server => 84.3% improvement; +1 DB => 13%.
-        assert table["app"][2] > 60.0
-        assert table["db"][2] < 30.0
-        assert table["app"][2] > 3 * max(table["db"][2], 1.0)
-
-    def test_three_app_servers_saturate_the_gain(self):
-        fig = table6(scale=SCALE)
-        table = fig.data
-        # 3-4 app servers "match well" 500 users: gains flatten.
-        assert table["app"][3] >= table["app"][2]
-        assert table["app"][4] - table["app"][3] < 10.0
-
-
 class TestTable7:
-    @pytest.fixture(scope="class")
-    def fig(self):
-        return table7(scale=SCALE, workload_step=350)
-
-    def test_low_load_throughput_uniform_across_configs(self, fig):
-        # "The throughput at low workloads is the same across the
-        # multiple servers" (V.B).
-        row = {t: fig.data[t][300] for t in fig.data}
-        values = [v for v in row.values() if v is not None]
-        assert len(values) == len(row)
-        spread = max(values) - min(values)
-        assert spread < 0.15 * max(values)
-
-    def test_small_config_has_missing_squares(self, fig):
-        # 1-2-1 cannot complete the high-load trials (capacity ~490).
-        assert fig.data["1-2-1"][1000] is None
-
-    def test_large_config_completes_high_load(self, fig):
-        assert fig.data["1-4-3"][1000] is not None
-
-    def test_rendering_marks_dnf(self, fig):
-        assert "-" in fig.rendered
+    def test_rendering_marks_dnf(self, figures):
+        assert "-" in _test_figure(figures, "table7").rendered
 
 
 class TestGenerationTables:
-    def test_table3_reaches_paper_magnitude(self):
-        fig = table3(paper_scale=False)
-        rows = {row["set"]: row for row in fig.data}
-        scaleout = rows["Scale-out RUBiS on JOnAS"]
-        # "The number of script lines ... reach hundreds of thousands"
-        # (III.C) — even the reduced grid lands far above 100 KLOC.
-        assert scaleout["script_lines"] > 100_000
-        assert scaleout["machine_count"] > 1000
-        assert scaleout["collected_mb"] > 100
-        baseline = rows["Baseline RUBiS on JOnAS"]
-        assert baseline["script_lines"] < scaleout["script_lines"]
-
-    def test_table4_script_family(self):
-        fig = table4()
-        entries = dict((name, lines) for name, lines, _c in
-                       fig.data["entries"])
-        assert entries["run.sh"] > 30
-        # Paper: install 54, configure 48, ignition 16, stop 12 lines.
-        assert 5 <= entries["scripts/TOMCAT1_ignition.sh"] <= 25
-        assert entries["scripts/TOMCAT1_install.sh"] > \
-            entries["scripts/TOMCAT1_stop.sh"]
-
-    def test_table5_config_files(self):
-        fig = table5()
-        entries = dict((name, lines) for name, lines, _c in
-                       fig.data["entries"])
-        # Paper: workers2 22 lines, C-JDBC XML 16, monitor props 6.
-        assert 10 <= entries["config/APACHE1_workers2.properties"] <= 35
-        assert 10 <= entries["config/CJDBC1_mysqldb-raidb1-elba.xml"] <= 25
-        assert entries["config/JONAS1_monitor-local.properties"] <= 8
-
     def test_store_figure_in_database(self):
         from repro.results import ResultsDatabase
-        results, tbl = run_rubis_jonas_baseline(
-            scale=0.02, workload_step=200, ratio_step=0.9)
-        fig = figure1(results=results, tbl=tbl)
+        fig = reproduce("figure1", scale=0.02, workload_step=200,
+                        ratio_step=0.9)
         with ResultsDatabase() as db:
             fig.store(db)
             assert db.count() == len(fig.results)

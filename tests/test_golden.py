@@ -36,8 +36,10 @@ import pytest
 
 from repro import FaultPlan, FaultSpec, RetryPolicy, resume_campaign, \
     run_campaign
-from repro.api import heal_campaign, reproduce_figure, run_scenario
+from repro.api import heal_campaign, reproduce_all, reproduce_figure, \
+    run_scenario
 from repro.core.campaign import ObservationCampaign
+from repro.experiments.claims import CLAIMS
 from repro.faults import EVERY_ATTEMPT
 from repro.provenance import DIGEST_TABLES, table_digests
 from repro.results.database import ResultsDatabase
@@ -138,8 +140,6 @@ def figure5_analytic(database):
 
 
 def suite_analytic(database):
-    from repro.experiments.papersuite import reproduce_all
-
     return list(reproduce_all(database=database,
                               fidelity="analytic").values())
 
@@ -169,6 +169,10 @@ def campaign_digests(name):
         return digests
     finally:
         database.close()
+
+
+def claims_digest():
+    return hashlib.sha256(repr(CLAIMS).encode()).hexdigest()
 
 
 def fresh_schema(directory):
@@ -234,6 +238,7 @@ def record():
         "campaigns": {name: campaign_digests(name)
                       for name in sorted(CAMPAIGNS)},
         "schema": _as_json(schema),
+        "claims": claims_digest(),
     }
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True)

@@ -2,12 +2,9 @@
 
 import pytest
 
-from repro.experiments.papersuite import (
-    FIGURE_IDS,
-    SUITE,
-    reproduce,
-    reproduce_all,
-)
+from repro.api import reproduce_all, reproduce_figure
+from repro.errors import ExperimentError, SimulationError
+from repro.experiments.figures import FIGURE_IDS, FIGURES, reproduce
 from repro.results import ResultsDatabase
 from repro.results.report import render_ascii_chart
 
@@ -28,9 +25,13 @@ class TestSuiteInventory:
         assert len(set(FIGURE_IDS)) == len(FIGURE_IDS)
 
     def test_entries_well_formed(self):
-        for name, fn, scaled in SUITE:
-            assert callable(fn)
-            assert isinstance(scaled, bool)
+        for name, figure in FIGURES.items():
+            assert figure.figure_id == name
+            if figure.sweep is None:
+                assert callable(figure.build)
+            else:
+                assert figure.title and figure.heading
+                assert callable(figure.view) and callable(figure.render)
 
 
 class TestReproduce:
@@ -57,6 +58,21 @@ class TestReproduce:
             # Generation-only tables contribute no trials.
             assert db.count() == 0
         assert any("running table4" in m for m in messages)
+
+    def test_unknown_fidelity_rejected_by_catalog_tables(self):
+        with pytest.raises(SimulationError, match="unknown fidelity"):
+            reproduce("table1", fidelity="bogus")
+
+    @pytest.mark.parametrize("reproduce_fn", [
+        lambda out: reproduce_all(output_dir=out, fidelity="auto"),
+        lambda out: reproduce_figure("table1", output_dir=out,
+                                     fidelity="auto"),
+    ])
+    def test_auto_fidelity_rejected_before_any_figure_runs(
+            self, tmp_path, reproduce_fn):
+        with pytest.raises(ExperimentError, match="adaptive-exploration"):
+            reproduce_fn(tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_reproduce_all_stores_trials(self, tmp_path):
         with ResultsDatabase() as db:
