@@ -246,6 +246,8 @@ class NTierSimulation:
                               sim_duration_s=duration):
             self.sim.run_until(duration)
             self.tracer.annotate(events=self.sim.events_processed,
+                                 scheduled=self.sim.scheduled,
+                                 cancelled=self.sim.cancelled,
                                  requests=len(self.records))
         return self.records
 

@@ -7,8 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import ProcessorSharingStation, RandomStreams, Simulator
+from repro.obs import Tracer
+from repro.sim import (
+    NTierSimulation,
+    ProcessorSharingStation,
+    RandomStreams,
+    Simulator,
+    engine,
+)
 from repro.sim import mva
+from tests.conftest import make_driver, make_system
+
+#: Dyadic delay step: sums of multiples are exact, so timestamps tie.
+TICK = 0.25
 
 
 class TestEngine:
@@ -57,6 +68,100 @@ class TestEngine:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
+
+    def test_run_all_bounds_runaway_schedules(self):
+        sim = Simulator()
+
+        def again():
+            sim.schedule(1.0, again)
+
+        sim.schedule(1.0, again)
+        with pytest.raises(SimulationError, match="exceeded 50 events"):
+            sim.run_all(max_events=50)
+        assert sim.events_processed == 51
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_firing_order_is_sorted_time_seq(data):
+    """Random schedules, with equal timestamps, cancellations and
+    schedules made by firing events, fire in ``sorted((time, seq))``
+    order; ``run_until(t)`` stops exactly at *t*."""
+    sim = Simulator()
+    keys = []        # (time, seq) of every scheduled event, by seq
+    events = []
+    pending = set()  # keys scheduled and neither fired nor cancelled
+    cancelled = set()
+    fired = []
+    ticks = st.integers(0, 6)
+
+    def schedule(delay_ticks):
+        seq = len(keys)
+        key = (sim.now + delay_ticks * TICK, seq)
+        keys.append(key)
+        pending.add(key)
+        events.append(sim.schedule(delay_ticks * TICK, lambda: fire(seq)))
+
+    def maybe_cancel():
+        if data.draw(st.booleans()):
+            seq = data.draw(st.integers(0, len(keys) - 1))
+            if keys[seq] in pending:
+                pending.remove(keys[seq])
+                cancelled.add(keys[seq])
+                events[seq].cancel()
+
+    def fire(seq):
+        pending.remove(keys[seq])
+        fired.append(keys[seq])
+        if len(keys) < 60:
+            for _ in range(data.draw(st.integers(0, 2))):
+                schedule(data.draw(ticks))
+        maybe_cancel()
+
+    for _ in range(data.draw(st.integers(1, 12))):
+        schedule(data.draw(ticks))
+    for _ in range(3):
+        maybe_cancel()
+
+    end = data.draw(ticks) * TICK
+    sim.run_until(end)
+    assert all(time <= end for time, _seq in fired)
+    assert all(time > end for time, _seq in pending)
+    assert sim.now == end
+    assert sim.peek_time() == (min(pending)[0] if pending else None)
+    assert sim.events_processed == len(fired)
+
+    sim.run_all()
+    assert fired == sorted(set(keys) - cancelled)
+    assert sim.events_processed == len(fired)
+    assert sim.scheduled == len(keys)
+    assert sim.cancelled == len(cancelled)
+
+
+def test_sim_run_counters_match_schedule_and_cancel_calls(monkeypatch):
+    """The ``sim.run`` span's kernel counters equal what wrappers around
+    ``Simulator.schedule`` and ``Event.cancel`` count, so no event
+    reaches the heap or leaves it cancelled by another way."""
+    counts = {"scheduled": 0, "cancelled": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine.Simulator, "schedule",
+                        counted("scheduled", engine.Simulator.schedule))
+    monkeypatch.setattr(engine.Event, "cancel",
+                        counted("cancelled", engine.Event.cancel))
+    driver = make_driver(users=150, warmup=2.0, run=10.0, cooldown=2.0,
+                         timeout=0.5)
+    tracer = Tracer()
+    with tracer.span("simulate") as root:
+        NTierSimulation(make_system(driver=driver), tracer=tracer).run()
+    span, = [r for r in tracer.export(root) if r.name == "sim.run"]
+    assert span.attributes["scheduled"] == counts["scheduled"] > 0
+    assert span.attributes["cancelled"] == counts["cancelled"] > 0
 
 
 class TestRandomStreams:
